@@ -81,7 +81,8 @@ class BellCoefficients:
     c4: complex
 
     def __post_init__(self) -> None:
-        if abs(sum(abs(c) ** 2 for c in self.as_tuple()) - 1.0) > ATOL:
+        # negated so that a NaN norm fails too
+        if not abs(sum(abs(c) ** 2 for c in self.as_tuple()) - 1.0) <= ATOL:
             raise ValueError("non-normalized input")
 
     def as_tuple(self) -> tuple[complex, complex, complex, complex]:

@@ -26,26 +26,18 @@ import numpy as np
 from .bellcore import BellCoefficients, BellLabel, bell_state, from_bell, to_bell
 from .measure import RngStream
 from .protocols import (
+    SCHEMES,
     analytic_label_distribution,
+    get_scheme,
     iterate_runs,
     outcome_distribution,
-    run_fig1,
-    run_scheme_a,
-    run_scheme_b,
     trace_to_jsonl,
 )
-from .qstate import fidelity, haar_random_state
+from .qstate import fidelity, haar_random_state, make_state
 
-SCHEMES = ("fig1", "scheme_a", "scheme_b", "photonic")
 MAX_TRIALS = 1_000_000
 
-# ebits (granted, consumed) per single run of each scheme; the photonic run
-# spends its path-entangled pair, which is the same one-ebit meter resource
-_EBITS_PER_RUN = {"fig1": 0, "scheme_a": 1, "scheme_b": 2, "photonic": 1}
-
 _NAMED_STATES = {label.value: label for label in BellLabel}
-
-_TRACED_RUNNERS = {"fig1": run_fig1, "scheme_a": run_scheme_a, "scheme_b": run_scheme_b}
 
 
 @dataclass
@@ -88,13 +80,10 @@ def resolve_state(spec: str, seed: int):
         raise ValueError(
             "state must be a Bell label, 'random', or four comma-separated coefficients c1..c4"
         )
-    values = np.array([_parse_complex(t) for t in tokens])
-    norm = float(np.linalg.norm(values))
-    if norm < 1e-12:
-        raise ValueError("null state")
-    renormalized = abs(norm - 1.0) > 1e-12
-    values = values / norm
-    return from_bell(BellCoefficients(*values)), renormalized, tuple(values)
+    # normalized as a plain vector first: BellCoefficients only accepts unit norm
+    normalized = make_state([_parse_complex(t) for t in tokens])
+    coefficients = tuple(normalized.amplitudes)
+    return from_bell(BellCoefficients(*coefficients)), normalized.renormalized, coefficients
 
 
 def _format_complex(value: complex) -> str:
@@ -126,8 +115,7 @@ def _run_trials(state, config: RunConfig):
     return counts, worst
 
 
-def _write_first_trial_trace(state, config: RunConfig) -> None:
-    runner = _TRACED_RUNNERS[config.scheme]
+def _write_first_trial_trace(runner, state, config: RunConfig) -> None:
     result = runner(state, RngStream(config.seed).substream(0), record_trace=True)
     with open(config.emit_trace, "w", encoding="utf-8") as fh:
         fh.write(trace_to_jsonl(result.trace))
@@ -165,7 +153,12 @@ def cmd_run(config: RunConfig) -> int:
     if config.trials > MAX_TRIALS:
         print(f"error: trials capped at {MAX_TRIALS} to keep runs short", file=sys.stderr)
         return 2
-    if config.emit_trace and config.scheme == "photonic":
+    try:
+        scheme = get_scheme(config.scheme)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if config.emit_trace and scheme.runner is None:
         print("error: --emit-trace is only available for the protocol schemes", file=sys.stderr)
         return 2
     try:
@@ -181,13 +174,13 @@ def cmd_run(config: RunConfig) -> int:
         analytic = analytic_label_distribution(state, config.scheme)
         counts, worst_fidelity = _run_trials(state, config)
         if config.emit_trace:
-            _write_first_trial_trace(state, config)
+            _write_first_trial_trace(scheme.runner, state, config)
     except Exception as exc:  # invariant breach inside the run
         print(f"error: run failed: {exc}", file=sys.stderr)
         return 3
     duration_ms = (time.perf_counter() - started) * 1000.0
 
-    per_run = _EBITS_PER_RUN[config.scheme]
+    per_run = scheme.ebits_per_run
     report = {
         "config": {
             "scheme": config.scheme,

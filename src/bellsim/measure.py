@@ -32,6 +32,7 @@ from .qstate import (
     StateVector,
     _apply_matrix,
     _wrap,
+    fidelity,
 )
 
 LOCAL = "local"
@@ -79,11 +80,6 @@ class RngStream:
         """Next uniform draw in [0, 1); advances the event counter."""
         self.counter += 1
         return (_mix64(self._key + self.counter * _GOLDEN) >> 11) * 1.1102230246251565e-16
-
-    def choose(self, probabilities: np.ndarray) -> int:
-        """Sample an index by inverse CDF with a single uniform draw."""
-        cdf = np.cumsum(probabilities)
-        return int(np.searchsorted(cdf, self.uniform() * cdf[-1], side="right"))
 
     def substream(self, index: int) -> "RngStream":
         return RngStream(self.seed, self.path + (index,))
@@ -235,15 +231,6 @@ def local_product_measurement(s: StateVector, sp: SpinProduct, rng: RngStream):
     return record, _wrap(2, post)
 
 
-def is_maximally_entangled(s: StateVector, atol: float = ATOL) -> bool:
-    """True iff a 2-qubit state has a maximally mixed one-qubit marginal."""
-    if s.n_qubits != 2:
-        return False
-    m = s.amplitudes.reshape(2, 2)
-    rho = m @ m.conj().T
-    return bool(np.max(np.abs(rho - np.eye(2) / 2)) <= atol)
-
-
 _DEFAULT_METER: StateVector | None = None
 
 
@@ -266,20 +253,19 @@ def _embed(u: np.ndarray, targets, n: int) -> np.ndarray:
     return full
 
 
-# Both parties' system->meter CNOTs on the [A_sys, B_sys, A_meter, B_meter]
-# register, fused into one matrix (they commute).
-_METER_COUPLING = _embed(CNOT, (1, 3), 4) @ _embed(CNOT, (0, 2), 4)
-_METER_COUPLING.setflags(write=False)
-
-
 def _coupled_injection() -> np.ndarray:
-    """16x4 map: system amplitudes -> post-CNOT joint state with a |Phi+> meter."""
+    """16x4 map: system amplitudes -> post-CNOT joint state with a |Phi+> meter.
+
+    Both parties' system->meter CNOTs act on the [A_sys, B_sys, A_meter,
+    B_meter] register, fused into one matrix (they commute).
+    """
+    coupling = _embed(CNOT, (1, 3), 4) @ _embed(CNOT, (0, 2), 4)
     phi = default_meter().amplitudes
     columns = np.zeros((16, 4), dtype=complex)
     for k in range(4):
         system = np.zeros(4, dtype=complex)
         system[k] = 1.0
-        columns[:, k] = _METER_COUPLING @ np.multiply.outer(system, phi).ravel()
+        columns[:, k] = coupling @ np.multiply.outer(system, phi).ravel()
     columns.setflags(write=False)
     return columns
 
@@ -318,10 +304,16 @@ def nonlocal_product_measurement(
     meter register is discarded after readout.
 
     The post-state equals (I + m S_ij)/2 applied to the input, renormalized,
-    where m is the product outcome.
+    where m is the product outcome. The meter must be |Phi+> up to global
+    phase: any other Bell state would flip the product outcome, and a
+    non-maximally entangled pair would not realize the measurement.
     """
     if s.n_qubits != 2:
         raise ValueError("expected a 2-qubit state")
+    if meter is not None and meter is not default_meter() and not (
+        meter.n_qubits == 2 and fidelity(meter, default_meter()) >= 1.0 - ATOL
+    ):
+        raise ValueError("bad meter resource")
 
     amps = s.amplitudes
     rotated = sp.i != "z" or sp.j != "z"
@@ -329,12 +321,7 @@ def nonlocal_product_measurement(
         rot, rot_back = _system_rotation(sp.i, sp.j)
         amps = rot @ amps
 
-    if meter is None or meter is default_meter():
-        joint = _INJECT_DEFAULT_METER @ amps
-    else:
-        if not is_maximally_entangled(meter):
-            raise ValueError("bad meter resource")
-        joint = _METER_COUPLING @ np.multiply.outer(amps, meter.amplitudes).ravel()
+    joint = _INJECT_DEFAULT_METER @ amps
 
     # Both meter readouts commute: draw the (z_A, z_B) pair jointly, then
     # project and trace the collapsed meter out in one slice.

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bellcore import BellLabel, bell_state, classify
-from .measure import RngStream
+from .measure import RngStream, _choose_outcome
 from .qstate import CNOT, HADAMARD, StateVector, apply_unitary, bit_of, computational_state, tensor
 
 N_QUBITS = 6
@@ -108,13 +108,7 @@ def detect(final: StateVector, rng: RngStream) -> tuple[DetectorIndex, DetectorI
     """
     if final.n_qubits != N_QUBITS:
         raise ValueError("expected the 6-qubit photonic register")
-    index = rng.choose(np.abs(final.amplitudes) ** 2)
-    ports = []
-    for reg in (REGISTER_A, REGISTER_B):
-        z_bit = bit_of(index, reg.path_z, N_QUBITS)
-        x_bit = bit_of(index, reg.path_x, N_QUBITS)
-        ports.append(DetectorIndex(reg.photon, (z_bit << 1) | x_bit))
-    return ports[0], ports[1]
+    return _EVENTS[_choose_outcome(np.abs(final.amplitudes) ** 2, rng)]
 
 
 def photonic_label(ports: tuple[DetectorIndex, DetectorIndex]) -> BellLabel:
@@ -125,16 +119,29 @@ def photonic_label(ports: tuple[DetectorIndex, DetectorIndex]) -> BellLabel:
     return classify(m, n)
 
 
+def _port_table(reg: PhotonRegister) -> np.ndarray:
+    """Register basis index -> the output port of ``reg``'s photon that fires."""
+    return np.array([
+        (bit_of(index, reg.path_z, N_QUBITS) << 1) | bit_of(index, reg.path_x, N_QUBITS)
+        for index in range(1 << N_QUBITS)
+    ])
+
+
+# np.bincount over these tables sums in index order, as a loop would
+_PORTS_A = _port_table(REGISTER_A)
+_PORTS_B = _port_table(REGISTER_B)
+# register basis index -> its detection event (immutable, so shared)
+_EVENTS = tuple(
+    (DetectorIndex("A", int(a)), DetectorIndex("B", int(b))) for a, b in zip(_PORTS_A, _PORTS_B)
+)
+# register basis index -> index of the Bell label its port pair names
+_LABEL_INDEX = np.array([photonic_label(event).index for event in _EVENTS])
+
+
 def port_probabilities(final: StateVector, photon: str) -> np.ndarray:
     """Marginal probability of each of one photon's four output ports."""
-    reg = REGISTER_A if photon == "A" else REGISTER_B
-    probs = np.abs(final.amplitudes) ** 2
-    out = np.zeros(4)
-    for index, p in enumerate(probs):
-        z_bit = bit_of(index, reg.path_z, N_QUBITS)
-        x_bit = bit_of(index, reg.path_x, N_QUBITS)
-        out[(z_bit << 1) | x_bit] += p
-    return out
+    table = _PORTS_A if photon == "A" else _PORTS_B
+    return np.bincount(table, np.abs(final.amplitudes) ** 2, 4)
 
 
 def label_distribution(s: StateVector) -> np.ndarray:
@@ -144,13 +151,4 @@ def label_distribution(s: StateVector) -> np.ndarray:
     state, independently of the abstract protocol route.
     """
     final = build_photonic_run(s)
-    probs = np.abs(final.amplitudes) ** 2
-    out = np.zeros(4)
-    for index, p in enumerate(probs):
-        if p == 0.0:
-            continue
-        signs = [1 - 2 * bit_of(index, q, N_QUBITS) for q in range(2, 6)]
-        m = signs[0] * signs[1]  # path_z A * path_z B
-        n = signs[2] * signs[3]  # path_x A * path_x B
-        out[classify(m, n).index] += p
-    return out
+    return np.bincount(_LABEL_INDEX, np.abs(final.amplitudes) ** 2, 4)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .measure import (
     nonlocal_product_measurement,
 )
 from .qstate import CNOT, HADAMARD, ID2, StateVector
-from . import bellcore
+from . import bellcore, photonic
 
 ALICE = "alice"
 BOB = "bob"
@@ -49,15 +50,6 @@ BOB = "bob"
 _SYSTEM_A, _SYSTEM_B, _METER_A, _METER_B = 0, 1, 2, 3
 
 _H_ON_A = np.kron(HADAMARD, ID2)
-
-_LABEL_ORDER = (
-    BellLabel.PHI_PLUS,
-    BellLabel.PHI_MINUS,
-    BellLabel.PSI_PLUS,
-    BellLabel.PSI_MINUS,
-)
-
-SCHEMES = ("fig1", "scheme_a", "scheme_b", "photonic")
 
 
 @dataclass(frozen=True)
@@ -410,9 +402,32 @@ def locc_audit(trace) -> AuditReport:
     return AuditReport(not violations, tuple(violations), checked)
 
 
-# --- Monte Carlo / analytic distributions --------------------------------------
+# --- Scheme table and Monte Carlo / analytic distributions ---------------------
 
-_RUNNERS = {"fig1": run_fig1, "scheme_a": run_scheme_a, "scheme_b": run_scheme_b}
+
+class Scheme(NamedTuple):
+    """One route to the Bell measurement."""
+
+    ebits_per_run: int
+    # traced protocol runner; None for the photonic model, which has no trace
+    runner: Callable[..., ProtocolResult] | None
+
+
+# The photonic run spends its path-entangled pair: the same one-ebit meter.
+SCHEMES = {
+    "fig1": Scheme(0, run_fig1),
+    "scheme_a": Scheme(1, run_scheme_a),
+    "scheme_b": Scheme(2, run_scheme_b),
+    "photonic": Scheme(1, None),
+}
+
+
+def get_scheme(name: str) -> Scheme:
+    """The table entry for ``name``; ``ValueError`` for an unknown scheme."""
+    try:
+        return SCHEMES[name]
+    except KeyError:
+        raise ValueError(f"unknown scheme {name!r}") from None
 
 
 def iterate_runs(s: StateVector, scheme: str, trials: int, seed: int):
@@ -421,10 +436,9 @@ def iterate_runs(s: StateVector, scheme: str, trials: int, seed: int):
     Trial t uses the RNG substream (seed, t), so runs are reproducible and
     may be re-executed or sharded in any order.
     """
-    try:
-        runner = _RUNNERS[scheme]
-    except KeyError:
-        raise ValueError(f"unknown scheme {scheme!r}") from None
+    runner = get_scheme(scheme).runner
+    if runner is None:
+        raise ValueError(f"scheme {scheme!r} has no protocol runner")
     root = RngStream(seed)
     for t in range(trials):
         yield runner(s, root.substream(t), record_trace=False)
@@ -434,10 +448,8 @@ def outcome_distribution(s: StateVector, scheme: str, trials: int, seed: int) ->
     """Histogram over the four Bell labels from ``trials`` sampled runs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    counts = {label: 0 for label in _LABEL_ORDER}
-    if scheme == "photonic":
-        from . import photonic
-
+    counts = {label: 0 for label in BellLabel}
+    if get_scheme(scheme).runner is None:
         final = photonic.build_photonic_run(s)
         root = RngStream(seed)
         for t in range(trials):
@@ -508,7 +520,7 @@ def analytic_label_distribution(s: StateVector, scheme: str) -> np.ndarray:
         return np.array(
             [
                 np.vdot(s.amplitudes, povm[bellcore.outcome_pair(label)] @ s.amplitudes).real
-                for label in _LABEL_ORDER
+                for label in BellLabel
             ]
         )
     if scheme == "scheme_b":
@@ -516,11 +528,9 @@ def analytic_label_distribution(s: StateVector, scheme: str) -> np.ndarray:
         return np.array(
             [
                 float(np.linalg.norm(ops[bellcore.outcome_pair(label)] @ s.amplitudes) ** 2)
-                for label in _LABEL_ORDER
+                for label in BellLabel
             ]
         )
     if scheme == "photonic":
-        from . import photonic
-
         return photonic.label_distribution(s)
     raise ValueError(f"unknown scheme {scheme!r}")

@@ -46,24 +46,11 @@ for _const in (ID2, PAULI_X, PAULI_Y, PAULI_Z, HADAMARD, PHASE_S, CNOT, *BASIS_C
     _const.setflags(write=False)
 
 
-def pauli(axis: str) -> np.ndarray:
-    """Return the Pauli matrix for axis 'x', 'y' or 'z'."""
-    try:
-        return PAULIS[axis]
-    except KeyError:
-        raise ValueError(f"unknown axis {axis!r}, expected 'x', 'y' or 'z'") from None
-
-
 def is_unitary(u: np.ndarray, atol: float = ATOL) -> bool:
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     return np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=atol)
-
-
-def is_hermitian(a: np.ndarray, atol: float = ATOL) -> bool:
-    a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and np.allclose(a, a.conj().T, atol=atol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +70,8 @@ class StateVector:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size != 1 << self.n_qubits:
             raise ValueError("bad dimension")
-        if abs(np.vdot(amps, amps).real - 1.0) > ATOL:
+        # negated so that a NaN norm fails too
+        if not abs(np.vdot(amps, amps).real - 1.0) <= ATOL:
             raise ValueError("state not normalized")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -118,20 +106,24 @@ def make_state(amplitudes) -> StateVector:
 
     The one constructor that accepts non-normalized input (convenient at the
     CLI boundary); the result records whether renormalization occurred.
-    Raises ``ValueError("null state")`` for a zero vector and
-    ``ValueError("bad dimension")`` when the length is not a power of two.
+    Raises ``ValueError("null state")`` for a zero vector,
+    ``ValueError("norm is not finite")`` for NaN, infinite or overflowing
+    amplitudes and ``ValueError("bad dimension")`` when the length is not a
+    power of two.
     """
-    amps = np.asarray(amplitudes, dtype=complex).ravel().copy()
+    amps = np.asarray(amplitudes, dtype=complex).ravel()
     n = amps.size
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError("bad dimension")
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        norm = float(np.linalg.norm(amps))
+    if not np.isfinite(norm):
+        raise ValueError("norm is not finite")
     if norm < ATOL:
         raise ValueError("null state")
-    renormalized = abs(norm - 1.0) > ATOL
-    if renormalized:
-        amps = amps / norm
-    return StateVector(n.bit_length() - 1, amps, renormalized=renormalized)
+    # always divide: the amplitudes are the input over its norm, bit for bit,
+    # also when the norm is within ATOL of 1 and the flag stays False
+    return StateVector(n.bit_length() - 1, amps / norm, renormalized=abs(norm - 1.0) > ATOL)
 
 
 def computational_state(bits) -> StateVector:
@@ -239,23 +231,6 @@ def states_equal(a: StateVector, b: StateVector, atol: float = ATOL, up_to_phase
     if up_to_phase:
         a, b = phase_canonical(a), phase_canonical(b)
     return bool(np.allclose(a.amplitudes, b.amplitudes, atol=atol))
-
-
-def drop_qubit(s: StateVector, qubit: int, bit: int) -> StateVector:
-    """Remove a qubit that has collapsed to ``bit``, shrinking the register.
-
-    The discarded branch must carry negligible weight (< 1e-12), i.e. the
-    qubit was measured; otherwise this raises.
-    """
-    if qubit < 0 or qubit >= s.n_qubits:
-        raise ValueError("target index out of range")
-    psi = np.moveaxis(s.amplitudes.reshape((2,) * s.n_qubits), qubit, 0)
-    kept = psi[bit].reshape(-1)
-    residual = float(np.vdot(psi[1 - bit], psi[1 - bit]).real)
-    if residual > ATOL:
-        raise ValueError("qubit not collapsed")
-    norm = float(np.linalg.norm(kept))
-    return StateVector(s.n_qubits - 1, kept / norm)
 
 
 def haar_random_state(n_qubits: int, gen: np.random.Generator) -> StateVector:

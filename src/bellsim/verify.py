@@ -33,6 +33,7 @@ from .measure import (
 )
 from .photonic import DetectorIndex, REGISTER_A, REGISTER_B, build_photonic_run, label_distribution, photonic_label
 from .protocols import (
+    SCHEMES,
     analytic_label_distribution,
     locc_audit,
     outcome_distribution,
@@ -262,7 +263,7 @@ def _group_born_rule():
     for case in range(100):
         s = haar_random_state(2, rng)
         reference = to_bell(s).probabilities()
-        for scheme in ("fig1", "scheme_a", "scheme_b", "photonic"):
+        for scheme in SCHEMES:
             delta = float(np.max(np.abs(analytic_label_distribution(s, scheme) - reference)))
             _check(
                 delta <= 1e-12,

@@ -68,6 +68,8 @@ def test_from_bell_uniform_coefficients():
 def test_bell_coefficients_reject_non_normalized():
     with pytest.raises(ValueError, match="non-normalized"):
         BellCoefficients(1, 1, 0, 0)
+    with pytest.raises(ValueError, match="non-normalized"):
+        BellCoefficients(float("nan"), 0, 0, 0)
 
 
 def test_round_trip_random_states():

@@ -1,5 +1,6 @@
 """CLI behaviour: reports, exit codes, determinism, trace files."""
 import csv
+import hashlib
 import io
 import json
 
@@ -38,11 +39,19 @@ def test_run_rejects_zero_trials(capsys):
     assert "trials" in err
 
 
-@pytest.mark.parametrize("bad", ["0.6,0,0", "what,0,0,0", "0,0,0,0", "0.5+,0,0,0"])
+@pytest.mark.parametrize(
+    "bad", ["0.6,0,0", "what,0,0,0", "0,0,0,0", "0.5+,0,0,0", "nan,0,0,0", "1e400,0,0,0"]
+)
 def test_run_rejects_bad_state_specs(capsys, bad):
     code, _, err = run_cli(capsys, "run", "--scheme", "fig1", "--state", bad, "--trials", "5")
     assert code == 2
     assert "state" in err
+
+
+def test_cmd_run_rejects_unknown_scheme(capsys):
+    code = cli.cmd_run(cli.RunConfig(scheme="bogus", state="PhiPlus", trials=5, seed=0))
+    assert code == 2
+    assert "unknown scheme" in capsys.readouterr().err
 
 
 def test_explicit_coefficients_are_renormalized_with_warning(capsys):
@@ -86,6 +95,50 @@ def test_reports_bit_identical_except_duration(capsys):
     r1.pop("duration_ms")
     r2.pop("duration_ms")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+# sha256 prefix of each report (minus duration_ms, keys sorted) for 150
+# trials. They pin reports across commits: any drift in a sampled count, an
+# analytic probability or a formatted coefficient changes a digest. Update
+# them only in a change that is meant to alter reports.
+GOLDEN_REPORTS = {
+    ("fig1", "PhiMinus", 3): "e15837c550109f69",
+    ("fig1", "PhiMinus", 17): "0b258d1d6c50c955",
+    ("fig1", "random", 3): "92ec98b7d3021bed",
+    ("fig1", "random", 17): "8fd2681d8da7239e",
+    ("fig1", "-1,0.5i,0.5-0.5i,0.25", 3): "bb7fa4bf814a6b04",
+    ("fig1", "-1,0.5i,0.5-0.5i,0.25", 17): "2bcb402a246accc4",
+    ("scheme_a", "PsiPlus", 3): "acc2635071d0817f",
+    ("scheme_a", "PsiPlus", 17): "550d513c95d24ef0",
+    ("scheme_a", "random", 3): "c8cf4b8c0e7f3185",
+    ("scheme_a", "random", 17): "815a521d02f4bce3",
+    ("scheme_a", "-1,0.5i,0.5-0.5i,0.25", 3): "bb99e07e43c5fb29",
+    ("scheme_a", "-1,0.5i,0.5-0.5i,0.25", 17): "39274006d417f4ab",
+    ("scheme_b", "PsiMinus", 3): "17d72744ca8a83fd",
+    ("scheme_b", "PsiMinus", 17): "17825d366bafb3b1",
+    ("scheme_b", "random", 3): "4e1f1516c85b8249",
+    ("scheme_b", "random", 17): "4c5647e474c1870c",
+    ("scheme_b", "-1,0.5i,0.5-0.5i,0.25", 3): "b01da7161c84d303",
+    ("scheme_b", "-1,0.5i,0.5-0.5i,0.25", 17): "83646d83fd556cbf",
+    ("photonic", "PhiPlus", 3): "8609de1b082852fd",
+    ("photonic", "PhiPlus", 17): "2140647fe9a13f71",
+    ("photonic", "random", 3): "8f60b8e9cd537686",
+    ("photonic", "random", 17): "4832d6fd14841cae",
+    ("photonic", "-1,0.5i,0.5-0.5i,0.25", 3): "0d85880d08fe58ee",
+    ("photonic", "-1,0.5i,0.5-0.5i,0.25", 17): "6ad6a67cdc567fc9",
+}
+
+
+@pytest.mark.parametrize("scheme,state,seed", sorted(GOLDEN_REPORTS))
+def test_reports_match_golden_digests(capsys, scheme, state, seed):
+    code, out, _ = run_cli(
+        capsys, "run", "--scheme", scheme, f"--state={state}", "--trials", "150", "--seed", str(seed)
+    )
+    assert code == 0
+    report = report_of(out)
+    report.pop("duration_ms")
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16]
+    assert digest == GOLDEN_REPORTS[(scheme, state, seed)]
 
 
 REPORT_SCHEMA = {

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim.bellcore import BellLabel, bell_state, from_bell, BellCoefficients, spin_product, to_bell
@@ -12,8 +12,9 @@ from bellsim.measure import (
     NONLOCAL,
     MeasurementRecord,
     PovmElement,
+    PROB_FLOOR,
     RngStream,
-    is_maximally_entangled,
+    _choose_outcome,
     local_product_measurement,
     meas_operator_family,
     measure_local_pauli,
@@ -21,7 +22,7 @@ from bellsim.measure import (
     outcome_probability,
     povm_family,
 )
-from bellsim.qstate import computational_state, haar_random_state, make_state, states_equal
+from bellsim.qstate import StateVector, computational_state, haar_random_state, make_state, states_equal
 
 SQ2 = 1.0 / np.sqrt(2.0)
 AXES = ("x", "y", "z")
@@ -45,12 +46,52 @@ def test_rng_substreams_deterministic_and_distinct():
     assert len(set(draws.values())) == 16
 
 
-def test_rng_choose_respects_distribution():
+def test_choose_outcome_respects_distribution():
     rng = RngStream(3)
     counts = np.zeros(3)
     for _ in range(30000):
-        counts[rng.choose(np.array([0.2, 0.5, 0.3]))] += 1
+        counts[_choose_outcome(np.array([0.2, 0.5, 0.3]), rng)] += 1
     np.testing.assert_allclose(counts / counts.sum(), [0.2, 0.5, 0.3], atol=0.02)
+
+
+_WEIGHT = st.one_of(
+    st.just(0.0),
+    st.just(1e-13),
+    st.just(PROB_FLOOR),
+    st.floats(min_value=1e-13, max_value=1.0),
+)
+
+
+def test_choose_outcome_redirects_draw_on_dead_sliver():
+    # place a sub-floor sliver exactly where the first draw of the stream lands
+    u = RngStream(11).uniform()
+    weights = np.array([u - 5e-14, 1e-13, 1.0 - u - 5e-14])
+    cdf = np.cumsum(weights)
+    assert cdf[0] <= u * cdf[-1] < cdf[1]
+    rng = RngStream(11)
+    assert _choose_outcome(weights, rng) == int(np.argmax(weights))
+    assert rng.counter == 1
+
+
+@given(
+    weights=st.lists(_WEIGHT, min_size=1, max_size=8).filter(lambda w: max(w) > PROB_FLOOR),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+@settings(max_examples=200, deadline=None)
+@example(weights=[1e-13, 1.0, 0.0, 1e-13], seed=5)
+@example(weights=[1e-13, 0.5, 1e-13, 0.5], seed=5)
+def test_choose_outcome_floor_rule(weights, seed):
+    weights = np.array(weights)
+    rng = RngStream(seed)
+    index = _choose_outcome(weights, rng)
+    if np.count_nonzero(weights > PROB_FLOOR) <= 1:
+        # a single live branch is taken without consuming randomness
+        assert index == int(np.argmax(weights))
+        assert rng.counter == 0
+    else:
+        assert rng.counter == 1
+        assert weights[index] > PROB_FLOOR
+
 
 
 # --- single-site Pauli measurement ------------------------------------------
@@ -185,15 +226,23 @@ def test_nonlocal_sxx_on_phi_minus_deterministic():
 
 
 def test_nonlocal_rejects_bad_meter():
+    # only |Phi+> is a meter: another Bell state would flip the product outcome
     s = bell_state(BellLabel.PHI_PLUS)
-    with pytest.raises(ValueError, match="bad meter resource"):
-        nonlocal_product_measurement(s, spin_product("z", "z"), RngStream(0), meter=computational_state("00"))
+    bad_meters = [computational_state("00"), make_state([0.8, 0, 0, 0.6])]
+    bad_meters += [bell_state(label) for label in BellLabel if label is not BellLabel.PHI_PLUS]
+    for meter in bad_meters:
+        with pytest.raises(ValueError, match="bad meter resource"):
+            nonlocal_product_measurement(s, spin_product("z", "z"), RngStream(0), meter=meter)
 
 
-def test_is_maximally_entangled():
-    assert is_maximally_entangled(bell_state(BellLabel.PSI_MINUS))
-    assert not is_maximally_entangled(computational_state("01"))
-    assert not is_maximally_entangled(make_state([0.8, 0, 0, 0.6]))
+def test_nonlocal_accepts_phi_plus_meter_up_to_phase():
+    s = haar_random_state(2, np.random.default_rng(17))
+    sp = spin_product("z", "z")
+    ref_record, ref_post = nonlocal_product_measurement(s, sp, RngStream(4))
+    meter = StateVector(2, bell_state(BellLabel.PHI_PLUS).amplitudes * np.exp(0.3j))
+    record, post = nonlocal_product_measurement(s, sp, RngStream(4), meter=meter)
+    assert record == ref_record
+    assert states_equal(post, ref_post)
 
 
 def test_post_state_law_all_axes():

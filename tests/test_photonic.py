@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bellsim.bellcore import BellLabel, bell_state, to_bell
+from bellsim.bellcore import BellLabel, bell_state, classify, to_bell
 from bellsim.measure import RngStream
 from bellsim.photonic import (
     REGISTER_A,
@@ -17,7 +17,7 @@ from bellsim.photonic import (
     port_probabilities,
 )
 from bellsim.protocols import analytic_label_distribution, outcome_distribution
-from bellsim.qstate import computational_state, haar_random_state
+from bellsim.qstate import bit_of, computational_state, haar_random_state
 
 
 def test_register_layout():
@@ -95,6 +95,32 @@ def test_exactly_one_detector_fires_per_photon():
             probs = port_probabilities(final, photon)
             assert np.all(probs >= -1e-15)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_index_tables_match_loop_reference():
+    # the per-index loop the precomputed tables replace; the tables sum in the
+    # same index order, so the results must be equal bit for bit
+    rng = np.random.default_rng(101)
+    for _ in range(50):
+        s = haar_random_state(2, rng)
+        probs = np.abs(build_photonic_run(s).amplitudes) ** 2
+        labels, ports = np.zeros(4), {"A": np.zeros(4), "B": np.zeros(4)}
+        for index, p in enumerate(probs):
+            sign = {q: 1 - 2 * bit_of(index, q, 6) for q in range(2, 6)}
+            labels[classify(sign[2] * sign[3], sign[4] * sign[5]).index] += p
+            for reg in (REGISTER_A, REGISTER_B):
+                ports[reg.photon][(bit_of(index, reg.path_z, 6) << 1) | bit_of(index, reg.path_x, 6)] += p
+        np.testing.assert_array_equal(label_distribution(s), labels)
+        for photon in ("A", "B"):
+            np.testing.assert_array_equal(port_probabilities(build_photonic_run(s), photon), ports[photon])
+    # on a basis-state register detection is certain: each photon's port is its path bits
+    for index in range(64):
+        basis = computational_state(format(index, "06b"))
+        expected = tuple(
+            DetectorIndex(reg.photon, (bit_of(index, reg.path_z, 6) << 1) | bit_of(index, reg.path_x, 6))
+            for reg in (REGISTER_A, REGISTER_B)
+        )
+        assert detect(basis, RngStream(index)) == expected
 
 
 def test_photonic_matches_abstract_scheme_analytically():

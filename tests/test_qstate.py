@@ -11,7 +11,6 @@ from bellsim.qstate import (
     StateVector,
     apply_unitary,
     computational_state,
-    drop_qubit,
     fidelity,
     haar_random_state,
     make_state,
@@ -41,6 +40,21 @@ def test_make_state_null_vector():
         make_state([0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_make_state_rejects_non_finite_norm(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        make_state([bad, 0, 0, 0])
+
+
+def test_make_state_divides_by_norm_near_one():
+    # a norm within ATOL of 1 is not flagged, but the amplitudes are still
+    # the input over its norm, bit for bit
+    raw = np.array([0.6, 0.8 * (1 + 2e-16), 0, 0], dtype=complex)
+    s = make_state(raw)
+    assert not s.renormalized
+    np.testing.assert_array_equal(s.amplitudes, raw / np.linalg.norm(raw))
+
+
 def test_make_state_bad_dimension():
     with pytest.raises(ValueError, match="bad dimension"):
         make_state([1, 0, 0])
@@ -51,6 +65,9 @@ def test_make_state_bad_dimension():
 def test_statevector_rejects_non_normalized():
     with pytest.raises(ValueError, match="not normalized"):
         StateVector(1, np.array([1.0, 1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(1, np.array([bad, 0.0]))
 
 
 def test_amplitudes_read_only():
@@ -195,13 +212,3 @@ def test_phase_canonical_and_states_equal():
     pivot = canon.amplitudes[np.flatnonzero(np.abs(canon.amplitudes) > 1e-9)[0]]
     assert pivot.imag == pytest.approx(0.0, abs=1e-12)
     assert pivot.real > 0
-
-
-def test_drop_qubit():
-    # |0> (x) psi with qubit 0 collapsed to 0
-    psi = haar_random_state(2, np.random.default_rng(41))
-    joint = tensor(computational_state("0"), psi)
-    reduced = drop_qubit(joint, 0, 0)
-    np.testing.assert_allclose(reduced.amplitudes, psi.amplitudes, atol=1e-12)
-    with pytest.raises(ValueError, match="not collapsed"):
-        drop_qubit(tensor(make_state([1, 1]), psi), 0, 0)
