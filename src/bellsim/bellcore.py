@@ -95,9 +95,6 @@ class BellCoefficients:
         """Born probabilities (|c1|^2, ..., |c4|^2) of the four Bell outcomes."""
         return np.abs(self.as_array()) ** 2
 
-    def coefficient(self, label: BellLabel) -> complex:
-        return self.as_tuple()[label.index]
-
 
 def to_bell(s: StateVector) -> BellCoefficients:
     """Expand a 2-qubit state in the Bell basis."""

@@ -140,7 +140,9 @@ _LABEL_INDEX = np.array([photonic_label(event).index for event in _EVENTS])
 
 def port_probabilities(final: StateVector, photon: str) -> np.ndarray:
     """Marginal probability of each of one photon's four output ports."""
-    table = _PORTS_A if photon == "A" else _PORTS_B
+    table = {"A": _PORTS_A, "B": _PORTS_B}.get(photon)
+    if table is None:
+        raise ValueError("photon must be 'A' or 'B'")
     return np.bincount(table, np.abs(final.amplitudes) ** 2, 4)
 
 

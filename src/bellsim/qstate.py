@@ -80,9 +80,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def probability(self, basis_index: int) -> float:
-        return float(abs(self.amplitudes[basis_index]) ** 2)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StateVector(n_qubits={self.n_qubits}, amplitudes={self.amplitudes!r})"
 
@@ -106,24 +103,36 @@ def make_state(amplitudes) -> StateVector:
 
     The one constructor that accepts non-normalized input (convenient at the
     CLI boundary); the result records whether renormalization occurred.
-    Raises ``ValueError("null state")`` for a zero vector,
-    ``ValueError("norm is not finite")`` for NaN, infinite or overflowing
-    amplitudes and ``ValueError("bad dimension")`` when the length is not a
-    power of two.
+    Finite amplitudes of any scale are accepted, also when their norm
+    overflows or falls below ``ATOL``. Raises ``ValueError("null state")``
+    for a zero vector, ``ValueError("norm is not finite")`` for NaN or
+    infinite amplitudes and ``ValueError("bad dimension")`` when the length
+    is not a power of two.
     """
     amps = np.asarray(amplitudes, dtype=complex).ravel()
     n = amps.size
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError("bad dimension")
-    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+    with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
         norm = float(np.linalg.norm(amps))
+    renormalized = abs(norm - 1.0) > ATOL
+    if not ATOL <= norm < np.inf and np.isfinite(amps).all():
+        # extreme scale: divide the real and imaginary parts by the largest
+        # of them first (the largest modulus can overflow, and a complex
+        # division by a subnormal overflows); only inputs rejected otherwise
+        # take this path, so ordinary specs keep their bits
+        parts = amps.view(float)
+        scale = np.abs(parts).max()
+        if scale > 0:
+            amps = (parts / scale).view(complex)
+            norm = float(np.linalg.norm(amps))
     if not np.isfinite(norm):
         raise ValueError("norm is not finite")
     if norm < ATOL:
         raise ValueError("null state")
     # always divide: the amplitudes are the input over its norm, bit for bit,
     # also when the norm is within ATOL of 1 and the flag stays False
-    return StateVector(n.bit_length() - 1, amps / norm, renormalized=abs(norm - 1.0) > ATOL)
+    return StateVector(n.bit_length() - 1, amps / norm, renormalized=renormalized)
 
 
 def computational_state(bits) -> StateVector:

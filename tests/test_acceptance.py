@@ -1,48 +1,22 @@
 """Acceptance suite: the eight end-to-end criteria at their stated tolerances.
 
+Criteria 2-8 run the invariant checks of ``bellsim.verify`` -- the same
+checks ``bellsim verify`` runs -- at the sample sizes and seeds below.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion. Every tolerance below is fixed; none is calibrated at runtime.
+criterion. Every tolerance is fixed; none is calibrated at runtime.
 """
-import itertools
 import time
 
 import numpy as np
 from scipy import stats
 
-from bellsim.bellcore import BellLabel, bell_state, spin_product, to_bell
-from bellsim.measure import (
-    LOCAL,
-    NONLOCAL,
-    RngStream,
-    local_product_measurement,
-    meas_operator_family,
-    nonlocal_product_measurement,
-    povm_family,
-)
+from bellsim import verify
+from bellsim.bellcore import BellLabel, bell_state
 from bellsim.photonic import label_distribution
-from bellsim.protocols import (
-    analytic_label_distribution,
-    locc_audit,
-    outcome_distribution,
-    run_fig1,
-    run_scheme_a,
-    run_scheme_b,
-)
-from bellsim.qstate import (
-    PAULIS,
-    StateVector,
-    computational_state,
-    fidelity,
-    haar_random_state,
-    phase_canonical,
-    states_equal,
-)
+from bellsim.protocols import outcome_distribution
+from bellsim.qstate import haar_random_state
 
-AXES = ("x", "y", "z")
 LABELS = list(BellLabel)
-
-# rows are the four Bell state amplitude vectors, in label order
-_BELL_MATRIX = np.array([bell_state(label).amplitudes for label in LABELS])
 
 
 def test_criterion_1_bell_basis_discrimination():
@@ -61,24 +35,7 @@ def test_criterion_1_bell_basis_discrimination():
 def test_criterion_2_born_rule_distribution():
     """Analytic label probabilities are |c_i|^2; empirical matches at 4 sigma."""
     started = time.perf_counter()
-    rng = np.random.default_rng(202)
-    states = [haar_random_state(2, rng) for _ in range(100)]
-    for s in states:
-        reference = to_bell(s).probabilities()
-        for scheme in ("scheme_a", "scheme_b"):
-            deviation = np.max(np.abs(analytic_label_distribution(s, scheme) - reference))
-            assert deviation <= 1e-12
-
-    s = states[0]
-    probs = to_bell(s).probabilities()
-    trials = 100_000
-    counts = outcome_distribution(s, "scheme_a", trials, seed=203)
-    for label in LABELS:
-        p = probs[label.index]
-        sigma = np.sqrt(trials * p * (1 - p))
-        assert abs(counts[label] - trials * p) <= 4 * sigma + 1, (
-            f"{label.value}: {counts[label]} vs {trials * p:.1f} +- {sigma:.1f}"
-        )
+    verify.check_born_rule(seed=202, cases=100, trials=100_000, stream=203)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"criterion 2 took {elapsed:.2f}s"
     print(f"\nPASS criterion 2: Born-rule distribution (100 states analytic, 1e5 trials, {elapsed:.1f}s)")
@@ -86,56 +43,15 @@ def test_criterion_2_born_rule_distribution():
 
 def test_criterion_3_bell_filter_contract():
     """Filter output is the labelled Bell state; refiltering is idempotent."""
-    rng = np.random.default_rng(303)
-    for t in range(100):
-        s = haar_random_state(2, rng)
-        first = run_scheme_b(s, RngStream(304).substream(t), record_trace=False)
-        assert fidelity(first.post_state, bell_state(first.label)) >= 1 - 1e-12
-        second = run_scheme_b(first.post_state, RngStream(305).substream(t), record_trace=False)
-        assert second.label is first.label
-        assert states_equal(second.post_state, first.post_state, atol=1e-12)
+    verify.check_bell_filter(seed=303, cases=100, streams=(304, 305))
     print("\nPASS criterion 3: Bell filter contract (100 random inputs, fidelity >= 1-1e-12, idempotent)")
 
 
 def test_criterion_4_superposition_preservation():
     """Nonlocal S_zz keeps the eigenspace superposition; local S_zz destroys it."""
-    szz, sxx = spin_product("z", "z"), spin_product("x", "x")
-    rng = np.random.default_rng(404)
-    plus_branches = 0
-    for t in range(60):
-        s = haar_random_state(2, rng)
-        c = to_bell(s)
-        record, post = nonlocal_product_measurement(s, szz, RngStream(405).substream(t))
-        if record.product_outcome == +1:
-            branch = np.array([c.c1, c.c2, 0, 0])
-            plus_branches += 1
-        else:
-            branch = np.array([0, 0, c.c3, c.c4])
-        expected = szz.projector(record.product_outcome) @ s.amplitudes
-        np.testing.assert_allclose(expected, branch @ _BELL_MATRIX, atol=1e-12)
-        want = phase_canonical(StateVector(2, expected / np.linalg.norm(expected)))
-        got = phase_canonical(post)
-        np.testing.assert_allclose(got.amplitudes, want.amplitudes, atol=1e-12)
-    assert plus_branches >= 10
-
-    trials = 10_000
-    phi = bell_state(BellLabel.PHI_PLUS)
-    nonlocal_hits = 0
-    for t in range(trials):
-        rng_t = RngStream(406).substream(t)
-        _, mid = nonlocal_product_measurement(phi, szz, rng_t)
-        record, _ = local_product_measurement(mid, sxx, rng_t)
-        nonlocal_hits += record.product_outcome == +1
-    assert nonlocal_hits == trials, "nonlocal route must give n=+1 with certainty"
-
-    local_hits = 0
-    for t in range(trials):
-        rng_t = RngStream(407).substream(t)
-        _, mid = local_product_measurement(phi, szz, rng_t)
-        record, _ = local_product_measurement(mid, sxx, rng_t)
-        local_hits += record.product_outcome == +1
-    frequency = local_hits / trials
-    assert abs(frequency - 0.5) <= 0.02, f"local-strategy frequency {frequency}"
+    frequency = verify.check_superposition_preservation(
+        seed=404, cases=60, streams=(405, 406, 407), nonlocal_trials=10_000, local_trials=10_000, band=0.02
+    )
     print(
         "\nPASS criterion 4: superposition preservation "
         f"(nonlocal n=+1 at 1.0, local at {frequency:.3f})"
@@ -144,45 +60,22 @@ def test_criterion_4_superposition_preservation():
 
 def test_criterion_5_operator_algebra():
     """Commutators vanish at 1e-15; POVM and Kraus families sum to I at 1e-12."""
-    for i, j in itertools.product(AXES, repeat=2):
-        a = np.kron(PAULIS[i], PAULIS[i])
-        b = np.kron(PAULIS[j], PAULIS[j])
-        assert np.max(np.abs(a @ b - b @ a)) <= 1e-15
-    for i, j in itertools.product(AXES, repeat=2):
-        sp = spin_product(i, j)
-        for strategy in (LOCAL, NONLOCAL):
-            povm_sum = sum(e.matrix for e in povm_family(strategy, sp))
-            assert np.max(np.abs(povm_sum - np.eye(4))) <= 1e-12
-            kraus_sum = sum(m.matrix.conj().T @ m.matrix for m in meas_operator_family(strategy, sp))
-            assert np.max(np.abs(kraus_sum - np.eye(4))) <= 1e-12
+    verify.check_spin_commutators()
+    verify.check_measurement_families()
     print("\nPASS criterion 5: operator algebra (9 commutators at 1e-15, all families complete at 1e-12)")
 
 
 def test_criterion_6_resource_ledger_and_audit():
     """Scheme (a) spends exactly 1 ebit, (b) exactly 2; audits pass/fail as required."""
-    rng = np.random.default_rng(606)
     runs = 200
-    for t in range(runs):
-        s = haar_random_state(2, rng)
-        a = run_scheme_a(s, RngStream(607).substream(t))
-        assert a.ledger.ebits_consumed == 1 and a.ledger.ebits_granted == 1
-        assert locc_audit(a.trace).passed
-        b = run_scheme_b(s, RngStream(608).substream(t))
-        assert b.ledger.ebits_consumed == 2 and b.ledger.ebits_granted == 2
-        assert locc_audit(b.trace).passed
-        f = run_fig1(s, RngStream(609).substream(t))
-        assert f.ledger.ebits_consumed == 0
-        assert not locc_audit(f.trace).passed
+    verify.check_resource_ledger_and_audit(seed=606, runs=runs, streams=(607, 608, 609))
     print(f"\nPASS criterion 6: resource ledger and LOCC audit ({runs} runs per scheme)")
 
 
 def test_criterion_7_photonic_equivalence():
     """Photonic route equals scheme (a) analytically; 1e5-trial chi-square p > 0.001."""
     rng = np.random.default_rng(707)
-    for _ in range(500):
-        s = haar_random_state(2, rng)
-        deviation = np.max(np.abs(label_distribution(s) - analytic_label_distribution(s, "scheme_a")))
-        assert deviation <= 1e-12
+    verify.check_photonic_equivalence(seed=rng, cases=500)
 
     s = haar_random_state(2, rng)
     probs = label_distribution(s)
@@ -199,17 +92,5 @@ def test_criterion_7_photonic_equivalence():
 
 def test_criterion_8_fig1_baseline():
     """The fig1 circuit maps the four Bell inputs to their computational outputs, always."""
-    outputs = {
-        BellLabel.PHI_PLUS: "00",
-        BellLabel.PHI_MINUS: "10",
-        BellLabel.PSI_PLUS: "01",
-        BellLabel.PSI_MINUS: "11",
-    }
-    trials = 1000
-    for label, bits in outputs.items():
-        target = computational_state(bits)
-        for t in range(trials):
-            result = run_fig1(bell_state(label), RngStream(808).substream(t), record_trace=False)
-            assert result.label is label
-            assert states_equal(result.post_state, target, atol=1e-12)
+    verify.check_fig1_mapping(stream=808, trials=1000)
     print("\nPASS criterion 8: fig1 baseline mapping (4 inputs x 1e3 trials, deterministic)")

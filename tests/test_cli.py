@@ -7,6 +7,7 @@ import json
 import pytest
 
 import bellsim.cli as cli
+import bellsim.verify as verify
 from bellsim.cli import main, resolve_state
 from bellsim.qstate import states_equal
 
@@ -64,6 +65,18 @@ def test_explicit_coefficients_are_renormalized_with_warning(capsys):
     assert report["config"]["renormalized"] is True
     assert report["analytic"]["p1"] == pytest.approx(0.5, abs=1e-12)
     assert report["analytic"]["p4"] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec,p1", [("1e200,1e200,0,0", 0.5), ("1e-13,0,0,0", 1.0)])
+def test_extreme_scale_coefficients_are_renormalized(capsys, spec, p1):
+    # the plain norm overflows (1e200) or falls below the null threshold (1e-13)
+    code, out, err = run_cli(capsys, "run", "--scheme", "scheme_a", f"--state={spec}", "--trials", "10")
+    assert code == 0
+    assert "renormalized" in err
+    report = report_of(out)
+    assert report["config"]["renormalized"] is True
+    assert report["analytic"]["p1"] == pytest.approx(p1, abs=1e-12)
+    assert report["analytic"]["p2"] == pytest.approx(1.0 - p1, abs=1e-12)
 
 
 def test_imaginary_coefficient_grammar():
@@ -293,3 +306,17 @@ def test_verify_command_passes(capsys):
     lines = [line for line in out.splitlines() if line]
     assert all(line.startswith("PASS") for line in lines)
     assert len(lines) >= 12
+
+
+def test_verify_command_reports_failure(capsys, monkeypatch):
+    def broken():
+        verify._check(False, "deliberately broken", case=3)
+
+    monkeypatch.setattr(verify, "GROUPS", verify.GROUPS[:1] + (("broken", broken),))
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    assert out.splitlines() == ["PASS pauli-algebra", "FAIL broken: deliberately broken"]
+    assert json.loads(err) == {"case": 3, "group": "broken"}
+    # raised directly (as in the acceptance criteria), the message carries the counterexample
+    with pytest.raises(Exception, match='deliberately broken {"case": 3}'):
+        broken()

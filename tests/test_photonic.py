@@ -97,6 +97,13 @@ def test_exactly_one_detector_fires_per_photon():
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_port_probabilities_rejects_unknown_photon():
+    final = build_photonic_run(bell_state(BellLabel.PHI_PLUS))
+    for photon in ("C", "a", ""):
+        with pytest.raises(ValueError, match="photon"):
+            port_probabilities(final, photon)
+
+
 def test_index_tables_match_loop_reference():
     # the per-index loop the precomputed tables replace; the tables sum in the
     # same index order, so the results must be equal bit for bit
