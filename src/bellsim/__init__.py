@@ -33,7 +33,6 @@ from .photonic import build_photonic_run, detect, photonic_label
 from .protocols import (
     AuditReport,
     ClassicalMessage,
-    InMemoryChannel,
     Party,
     ProtocolResult,
     ResourceLedger,
@@ -63,7 +62,6 @@ __all__ = [
     "BellCoefficients",
     "BellLabel",
     "ClassicalMessage",
-    "InMemoryChannel",
     "MeasOperator",
     "MeasurementRecord",
     "Party",

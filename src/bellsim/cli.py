@@ -153,6 +153,9 @@ def cmd_run(config: RunConfig) -> int:
     if config.trials > MAX_TRIALS:
         print(f"error: trials capped at {MAX_TRIALS} to keep runs short", file=sys.stderr)
         return 2
+    if not 0 <= config.seed < 2**64:  # RngStream keys on 64 bits
+        print("error: seed must be in [0, 2**64)", file=sys.stderr)
+        return 2
     try:
         scheme = get_scheme(config.scheme)
     except ValueError as exc:
@@ -208,20 +211,21 @@ def cmd_run(config: RunConfig) -> int:
 
 
 def cmd_verify() -> int:
-    """Run every invariant group; print one PASS/FAIL line per group."""
+    """Run every invariant group; print one PASS/FAIL line per group.
+
+    Each failed group also prints its counterexample as one JSON line on
+    stderr.
+    """
     from .verify import run_verification
 
     results = run_verification()
-    failed = [r for r in results if not r.passed]
     for result in results:
         if result.passed:
             print(f"PASS {result.name}")
         else:
             print(f"FAIL {result.name}: {result.detail}")
-    if failed:
-        print(json.dumps(failed[0].counterexample, sort_keys=True, default=str), file=sys.stderr)
-        return 1
-    return 0
+            print(json.dumps(result.counterexample, sort_keys=True, default=str), file=sys.stderr)
+    return 0 if all(result.passed for result in results) else 1
 
 
 def _default_seed() -> int:

@@ -32,7 +32,6 @@ from .qstate import (
     StateVector,
     _apply_matrix,
     _wrap,
-    fidelity,
 )
 
 LOCAL = "local"
@@ -117,26 +116,30 @@ class MeasurementRecord:
     """One spin-product measurement event.
 
     ``local_outcomes`` are the two +-1 site readouts (meter readouts for the
-    nonlocal strategy); ``product_outcome`` is their product.
+    nonlocal strategy).
     """
 
     observable: str
     strategy: str
     local_outcomes: tuple[int, int]
-    product_outcome: int
-    ebits_consumed: int
 
     def __post_init__(self) -> None:
         if self.strategy not in (LOCAL, NONLOCAL):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+
+    @property
+    def product_outcome(self) -> int:
+        """The S_ij outcome: the product of the two site readouts."""
         z_a, z_b = self.local_outcomes
-        if self.product_outcome != z_a * z_b:
-            raise ValueError("product outcome inconsistent with local outcomes")
-        if self.ebits_consumed != (0 if self.strategy == LOCAL else 1):
-            raise ValueError("ebit count inconsistent with strategy")
+        return z_a * z_b
+
+    @property
+    def ebits_consumed(self) -> int:
+        """One |Phi+> meter pair per nonlocal measurement, none for a local one."""
+        return 0 if self.strategy == LOCAL else 1
 
 
-def _sample_z(amps: np.ndarray, n: int, qubit: int, rng: RngStream):
+def _sample_z(amps: np.ndarray, qubit: int, rng: RngStream):
     """Born-sample a sigma_z readout of ``qubit`` on a flat amplitude array.
 
     Returns (outcome +-1, collapsed renormalized array, branch probability).
@@ -195,7 +198,7 @@ def measure_local_pauli(s: StateVector, qubit: int, axis: str, rng: RngStream):
     amps = s.amplitudes
     if axis != "z":
         amps = _apply_matrix(amps, s.n_qubits, u, [qubit])
-    outcome, amps, _ = _sample_z(amps, s.n_qubits, qubit, rng)
+    outcome, amps, _ = _sample_z(amps, qubit, rng)
     if axis != "z":
         amps = _apply_matrix(amps, s.n_qubits, u.conj().T, [qubit])
     return outcome, _wrap(s.n_qubits, amps)
@@ -221,25 +224,7 @@ def local_product_measurement(s: StateVector, sp: SpinProduct, rng: RngStream):
     pivot = amps[index]
     eigenvector = rot_back[:, index] if rotated else _COMPUTATIONAL_COLUMNS[index]
     post = eigenvector * (pivot / abs(pivot))
-    record = MeasurementRecord(
-        observable=sp.name,
-        strategy=LOCAL,
-        local_outcomes=(z_a, z_b),
-        product_outcome=z_a * z_b,
-        ebits_consumed=0,
-    )
-    return record, _wrap(2, post)
-
-
-_DEFAULT_METER: StateVector | None = None
-
-
-def default_meter() -> StateVector:
-    """The canonical |Phi+> meter pair (shared immutable instance)."""
-    global _DEFAULT_METER
-    if _DEFAULT_METER is None:
-        _DEFAULT_METER = bell_state(BellLabel.PHI_PLUS)
-    return _DEFAULT_METER
+    return MeasurementRecord(sp.name, LOCAL, (z_a, z_b)), _wrap(2, post)
 
 
 def _embed(u: np.ndarray, targets, n: int) -> np.ndarray:
@@ -260,7 +245,7 @@ def _coupled_injection() -> np.ndarray:
     B_meter] register, fused into one matrix (they commute).
     """
     coupling = _embed(CNOT, (1, 3), 4) @ _embed(CNOT, (0, 2), 4)
-    phi = default_meter().amplitudes
+    phi = bell_state(BellLabel.PHI_PLUS).amplitudes
     columns = np.zeros((16, 4), dtype=complex)
     for k in range(4):
         system = np.zeros(4, dtype=complex)
@@ -269,7 +254,7 @@ def _coupled_injection() -> np.ndarray:
     columns.setflags(write=False)
     return columns
 
-_INJECT_DEFAULT_METER = _coupled_injection()
+_INJECT_PHI_PLUS = _coupled_injection()
 
 _COMPUTATIONAL_COLUMNS = np.eye(4, dtype=complex)
 _COMPUTATIONAL_COLUMNS.setflags(write=False)
@@ -289,13 +274,8 @@ def _system_rotation(i: str, j: str):
     return hit
 
 
-def nonlocal_product_measurement(
-    s: StateVector,
-    sp: SpinProduct,
-    rng: RngStream,
-    meter: StateVector | None = None,
-):
-    """Measure S_ij with a shared entangled meter pair, preserving the state.
+def nonlocal_product_measurement(s: StateVector, sp: SpinProduct, rng: RngStream):
+    """Measure S_ij with a fresh shared |Phi+> meter pair, preserving the state.
 
     Register layout during the measurement: [A_sys, B_sys, A_meter,
     B_meter]. Each party applies CNOT(system -> meter) and reads their meter
@@ -304,16 +284,12 @@ def nonlocal_product_measurement(
     meter register is discarded after readout.
 
     The post-state equals (I + m S_ij)/2 applied to the input, renormalized,
-    where m is the product outcome. The meter must be |Phi+> up to global
-    phase: any other Bell state would flip the product outcome, and a
-    non-maximally entangled pair would not realize the measurement.
+    where m is the product outcome. The meter is always |Phi+>: any other
+    Bell state would flip the product outcome, and a non-maximally entangled
+    pair would not realize the measurement.
     """
     if s.n_qubits != 2:
         raise ValueError("expected a 2-qubit state")
-    if meter is not None and meter is not default_meter() and not (
-        meter.n_qubits == 2 and fidelity(meter, default_meter()) >= 1.0 - ATOL
-    ):
-        raise ValueError("bad meter resource")
 
     amps = s.amplitudes
     rotated = sp.i != "z" or sp.j != "z"
@@ -321,7 +297,7 @@ def nonlocal_product_measurement(
         rot, rot_back = _system_rotation(sp.i, sp.j)
         amps = rot @ amps
 
-    joint = _INJECT_DEFAULT_METER @ amps
+    joint = _INJECT_PHI_PLUS @ amps
 
     # Both meter readouts commute: draw the (z_A, z_B) pair jointly, then
     # project and trace the collapsed meter out in one slice.
@@ -335,14 +311,7 @@ def nonlocal_product_measurement(
     if rotated:
         post = rot_back @ post
 
-    record = MeasurementRecord(
-        observable=sp.name,
-        strategy=NONLOCAL,
-        local_outcomes=(z_a, z_b),
-        product_outcome=z_a * z_b,
-        ebits_consumed=1,
-    )
-    return record, _wrap(2, post)
+    return MeasurementRecord(sp.name, NONLOCAL, (z_a, z_b)), _wrap(2, post)
 
 
 def povm_family(strategy: str, sp: SpinProduct) -> list[PovmElement]:

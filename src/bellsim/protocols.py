@@ -17,11 +17,9 @@ the inferred Bell label, an ebit ledger and, when tracing is enabled, an
 ordered event trace (local operations, classical messages, measurements)
 that :func:`locc_audit` can check for locality violations.
 
-Classical communication is modeled as an ordered reliable in-memory channel
-(:class:`InMemoryChannel`); swapping in a real transport only requires an
-object with a ``send(message)`` method. Both parties learn both outcomes by
-symmetric exchange and each computes the product; the result records it
-once.
+Classical communication is a symmetric exchange of outcome bits, recorded
+as ``send`` events in the trace; each party then computes the product, and
+the result records it once.
 """
 from __future__ import annotations
 
@@ -34,7 +32,6 @@ import numpy as np
 from .bellcore import BellLabel, classify, spin_product
 from .measure import (
     RngStream,
-    default_meter,
     local_product_measurement,
     measure_local_pauli,
     nonlocal_product_measurement,
@@ -93,32 +90,6 @@ class ResourceLedger:
         self.ebits_consumed += n
 
 
-class EbitSource:
-    """Grants fresh |Phi+> meter pairs, debiting the ledger one ebit each.
-
-    The source only ever emits |Phi+>; other Bell states are not accepted as
-    meters, they would invert or scramble the outcome bookkeeping.
-    """
-
-    def __init__(self, ledger: ResourceLedger):
-        self.ledger = ledger
-
-    def next_pair(self) -> StateVector:
-        self.ledger.consume(1)
-        return default_meter()
-
-
-class InMemoryChannel:
-    """Ordered, reliable in-memory classical channel (the transport boundary)."""
-
-    def __init__(self):
-        self.sent: list[ClassicalMessage] = []
-
-    def send(self, message: ClassicalMessage) -> ClassicalMessage:
-        self.sent.append(message)
-        return message
-
-
 @dataclass(frozen=True)
 class TraceEvent:
     """One protocol event: a local op, a measurement or a classical message."""
@@ -158,14 +129,14 @@ class ProtocolResult:
     """
 
     outcomes: tuple[int, int]
-    label: BellLabel
     post_state: StateVector | None
     trace: tuple[TraceEvent, ...]
     ledger: ResourceLedger
 
-    def __post_init__(self) -> None:
-        if classify(*self.outcomes) is not self.label:
-            raise ValueError("label inconsistent with outcome pair")
+    @property
+    def label(self) -> BellLabel:
+        """The Bell state named by the outcome pair."""
+        return classify(*self.outcomes)
 
 
 @dataclass(frozen=True)
@@ -179,17 +150,19 @@ _BASIS_GATE_OP = {"x": "gate:H", "y": "gate:HSdg"}
 
 
 class _ProtocolRun:
-    """Mutable context for one run: register state, trace, ledger, channel."""
+    """Mutable context for one run: register state, trace, ledger.
 
-    __slots__ = ("state", "rng", "ledger", "channel", "trace", "source")
+    The ledger grants the scheme's ebits per run from :data:`SCHEMES`.
+    """
 
-    def __init__(self, state, rng, ledger, channel, record_trace):
+    __slots__ = ("state", "rng", "ledger", "trace")
+
+    def __init__(self, state, rng, scheme, record_trace):
+        _require_two_qubits(state)
         self.state = state
         self.rng = rng
-        self.ledger = ledger
-        self.channel = channel
+        self.ledger = ResourceLedger(SCHEMES[scheme].ebits_per_run)
         self.trace = [] if record_trace else None
-        self.source = EbitSource(ledger)
 
     def emit(self, step, party, op, qubits=(), message=None, outcome=None):
         if self.trace is not None:
@@ -205,20 +178,18 @@ class _ProtocolRun:
 
     def exchange_and_derive(self, stage, op, a_outcome, b_outcome, derived):
         """Symmetric classical exchange, then each party derives the result."""
-        if self.trace is None and self.channel is None:
+        if self.trace is None:
             return
         step = f"{stage}:exchange-outcomes"
         for sender, recipient, value in ((ALICE, BOB, a_outcome), (BOB, ALICE, b_outcome)):
             message = ClassicalMessage(sender, recipient, {"outcome": value}, step)
-            if self.channel is not None:
-                self.channel.send(message)
             self.emit(step, sender, "send", (), message=message)
         self.emit(f"{stage}:{op}", ALICE, op, (), outcome=derived)
         self.emit(f"{stage}:{op}", BOB, op, (), outcome=derived)
 
     def nonlocal_stage(self, stage, sp):
         """One ancilla-assisted spin-product measurement, traced step by step."""
-        meter = self.source.next_pair()
+        self.ledger.consume(1)
         tracing = self.trace is not None
         if tracing:
             self.declare_ownership(f"{stage}:distribute-ebit", *_EXTENDED_PARTIES)
@@ -230,7 +201,7 @@ class _ProtocolRun:
                 self.emit(f"{stage}:local-basis", BOB, _BASIS_GATE_OP[sp.j], (_SYSTEM_B,))
             self.emit(f"{stage}:local-cnot", ALICE, "gate:CNOT", (_SYSTEM_A, _METER_A))
             self.emit(f"{stage}:local-cnot", BOB, "gate:CNOT", (_SYSTEM_B, _METER_B))
-        record, self.state = nonlocal_product_measurement(self.state, sp, self.rng, meter)
+        record, self.state = nonlocal_product_measurement(self.state, sp, self.rng)
         z_a, z_b = record.local_outcomes
         if tracing:
             self.emit(f"{stage}:meter-readout", ALICE, "measure:z", (_METER_A,), outcome=z_a)
@@ -241,8 +212,9 @@ class _ProtocolRun:
                 self.emit(f"{stage}:local-basis", ALICE, _BASIS_GATE_OP[sp.i], (_SYSTEM_A,))
             if sp.j != "z":
                 self.emit(f"{stage}:local-basis", BOB, _BASIS_GATE_OP[sp.j], (_SYSTEM_B,))
-        self.exchange_and_derive(stage, "multiply", z_a, z_b, record.product_outcome)
-        return record.product_outcome
+        product = record.product_outcome
+        self.exchange_and_derive(stage, "multiply", z_a, z_b, product)
+        return product
 
     def local_stage(self, stage, sp):
         """One local spin-product measurement: per-site Pauli readout + product."""
@@ -250,8 +222,9 @@ class _ProtocolRun:
         z_a, z_b = record.local_outcomes
         self.emit(f"{stage}:local-measure", ALICE, f"measure:{sp.i}", (_SYSTEM_A,), outcome=z_a)
         self.emit(f"{stage}:local-measure", BOB, f"measure:{sp.j}", (_SYSTEM_B,), outcome=z_b)
-        self.exchange_and_derive(stage, "multiply", z_a, z_b, record.product_outcome)
-        return record.product_outcome
+        product = record.product_outcome
+        self.exchange_and_derive(stage, "multiply", z_a, z_b, product)
+        return product
 
     def trace_tuple(self):
         return () if self.trace is None else tuple(self.trace)
@@ -262,20 +235,14 @@ def _require_two_qubits(s: StateVector) -> None:
         raise ValueError("expected a 2-qubit state")
 
 
-def run_fig1(
-    s: StateVector,
-    rng: RngStream,
-    channel: InMemoryChannel | None = None,
-    record_trace: bool = True,
-) -> ProtocolResult:
+def run_fig1(s: StateVector, rng: RngStream, record_trace: bool = True) -> ProtocolResult:
     """Textbook Bell measurement circuit: CNOT across both wires, H, readout.
 
     Maps Phi+, Phi-, Psi+, Psi- to the computational outputs |++>, |-+>,
     |+->, |--> respectively. The CNOT touches both parties' qubits, so the
     trace is marked nonlocal and fails :func:`locc_audit`. Consumes no ebits.
     """
-    _require_two_qubits(s)
-    run = _ProtocolRun(s, rng, ResourceLedger(), channel, record_trace)
+    run = _ProtocolRun(s, rng, "fig1", record_trace)
     run.declare_system_ownership()
     run.emit("circuit", None, "gate:CNOT", (_SYSTEM_A, _SYSTEM_B))
     state = StateVector(2, CNOT @ s.amplitudes)
@@ -287,53 +254,34 @@ def run_fig1(
     run.emit("readout", BOB, "measure:z", (_SYSTEM_B,), outcome=z_b)
     # the wire carrying the Hadamard resolves +/-, the other Phi/Psi
     m, n = z_b, z_a
-    label = classify(m, n)
-    run.exchange_and_derive("readout", "classify", z_a, z_b, label.value)
-    return ProtocolResult((m, n), label, state, run.trace_tuple(), run.ledger)
+    run.exchange_and_derive("readout", "classify", z_a, z_b, classify(m, n).value)
+    return ProtocolResult((m, n), state, run.trace_tuple(), run.ledger)
 
 
-def run_scheme_a(
-    s: StateVector,
-    rng: RngStream,
-    ledger: ResourceLedger | None = None,
-    channel: InMemoryChannel | None = None,
-    record_trace: bool = True,
-) -> ProtocolResult:
+def run_scheme_a(s: StateVector, rng: RngStream, record_trace: bool = True) -> ProtocolResult:
     """Complete Bell measurement via nonlocal S_zz then local S_xx (1 ebit).
 
     LOCC throughout. The final local measurement collapses the system to an
     x product state, so no post-state is reported.
     """
-    _require_two_qubits(s)
-    if ledger is None:
-        ledger = ResourceLedger(ebits_granted=1)
-    run = _ProtocolRun(s, rng, ledger, channel, record_trace)
+    run = _ProtocolRun(s, rng, "scheme_a", record_trace)
     run.declare_system_ownership()
     m = run.nonlocal_stage("szz", spin_product("z", "z"))
     n = run.local_stage("sxx", spin_product("x", "x"))
-    return ProtocolResult((m, n), classify(m, n), None, run.trace_tuple(), ledger)
+    return ProtocolResult((m, n), None, run.trace_tuple(), run.ledger)
 
 
-def run_scheme_b(
-    s: StateVector,
-    rng: RngStream,
-    ledger: ResourceLedger | None = None,
-    channel: InMemoryChannel | None = None,
-    record_trace: bool = True,
-) -> ProtocolResult:
+def run_scheme_b(s: StateVector, rng: RngStream, record_trace: bool = True) -> ProtocolResult:
     """Complete Bell filter: nonlocal S_zz then nonlocal S_xx (2 ebits).
 
     LOCC throughout, and the post-state is exactly the Bell state named by
     the outcome pair (up to global phase).
     """
-    _require_two_qubits(s)
-    if ledger is None:
-        ledger = ResourceLedger(ebits_granted=2)
-    run = _ProtocolRun(s, rng, ledger, channel, record_trace)
+    run = _ProtocolRun(s, rng, "scheme_b", record_trace)
     run.declare_system_ownership()
     m = run.nonlocal_stage("szz", spin_product("z", "z"))
     n = run.nonlocal_stage("sxx", spin_product("x", "x"))
-    return ProtocolResult((m, n), classify(m, n), run.state, run.trace_tuple(), ledger)
+    return ProtocolResult((m, n), run.state, run.trace_tuple(), run.ledger)
 
 
 # --- LOCC audit ---------------------------------------------------------------

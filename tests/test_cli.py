@@ -233,6 +233,20 @@ def test_bad_environment_seed(capsys, monkeypatch):
     assert "BELLSIM_SEED" in err
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("seed,code", [(-1, 2), (2**64, 2), (2**64 - 1, 0)])
+def test_seed_range_is_checked_at_the_boundary(capsys, monkeypatch, via, seed, code):
+    argv = ["run", "--scheme", "fig1", "--state", "random", "--trials", "5"]
+    if via == "flag":
+        argv.append(f"--seed={seed}")
+    else:
+        monkeypatch.setenv("BELLSIM_SEED", str(seed))
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    if code == 2:
+        assert out == "" and "seed" in err and "state" not in err
+
+
 def test_emit_trace_writes_jsonl(capsys, tmp_path):
     path = tmp_path / "trace.jsonl"
     code, _, _ = run_cli(
@@ -312,11 +326,19 @@ def test_verify_command_reports_failure(capsys, monkeypatch):
     def broken():
         verify._check(False, "deliberately broken", case=3)
 
-    monkeypatch.setattr(verify, "GROUPS", verify.GROUPS[:1] + (("broken", broken),))
+    def also_broken():
+        verify._check(False, "also broken", axis="y")
+
+    groups = (("broken", broken),) + verify.GROUPS[:1] + (("also-broken", also_broken),)
+    monkeypatch.setattr(verify, "GROUPS", groups)
     code, out, err = run_cli(capsys, "verify")
     assert code == 1
-    assert out.splitlines() == ["PASS pauli-algebra", "FAIL broken: deliberately broken"]
-    assert json.loads(err) == {"case": 3, "group": "broken"}
+    assert out.splitlines() == [
+        "FAIL broken: deliberately broken", "PASS pauli-algebra", "FAIL also-broken: also broken"
+    ]
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"case": 3, "group": "broken"}, {"axis": "y", "group": "also-broken"}
+    ]
     # raised directly (as in the acceptance criteria), the message carries the counterexample
     with pytest.raises(Exception, match='deliberately broken {"case": 3}'):
         broken()

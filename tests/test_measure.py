@@ -22,7 +22,7 @@ from bellsim.measure import (
     outcome_probability,
     povm_family,
 )
-from bellsim.qstate import StateVector, computational_state, haar_random_state, make_state, states_equal
+from bellsim.qstate import computational_state, haar_random_state, make_state, states_equal
 
 SQ2 = 1.0 / np.sqrt(2.0)
 AXES = ("x", "y", "z")
@@ -225,26 +225,6 @@ def test_nonlocal_sxx_on_phi_minus_deterministic():
     assert states_equal(post, bell_state(BellLabel.PHI_MINUS))
 
 
-def test_nonlocal_rejects_bad_meter():
-    # only |Phi+> is a meter: another Bell state would flip the product outcome
-    s = bell_state(BellLabel.PHI_PLUS)
-    bad_meters = [computational_state("00"), make_state([0.8, 0, 0, 0.6])]
-    bad_meters += [bell_state(label) for label in BellLabel if label is not BellLabel.PHI_PLUS]
-    for meter in bad_meters:
-        with pytest.raises(ValueError, match="bad meter resource"):
-            nonlocal_product_measurement(s, spin_product("z", "z"), RngStream(0), meter=meter)
-
-
-def test_nonlocal_accepts_phi_plus_meter_up_to_phase():
-    s = haar_random_state(2, np.random.default_rng(17))
-    sp = spin_product("z", "z")
-    ref_record, ref_post = nonlocal_product_measurement(s, sp, RngStream(4))
-    meter = StateVector(2, bell_state(BellLabel.PHI_PLUS).amplitudes * np.exp(0.3j))
-    record, post = nonlocal_product_measurement(s, sp, RngStream(4), meter=meter)
-    assert record == ref_record
-    assert states_equal(post, ref_post)
-
-
 def test_post_state_law_all_axes():
     # post = M s / ||M s|| with M the eigenspace projector, every axis pair
     rng_state = np.random.default_rng(103)
@@ -369,12 +349,13 @@ def test_sampling_soundness_hundred_thousand_trials():
 
 
 def test_measurement_record_invariants():
-    with pytest.raises(ValueError, match="inconsistent"):
-        MeasurementRecord("S_zz", LOCAL, (+1, -1), +1, 0)
-    with pytest.raises(ValueError, match="ebit"):
-        MeasurementRecord("S_zz", LOCAL, (+1, -1), -1, 1)
+    for z_a, z_b in itertools.product((+1, -1), repeat=2):
+        local = MeasurementRecord("S_zz", LOCAL, (z_a, z_b))
+        nonlocal_ = MeasurementRecord("S_zz", NONLOCAL, (z_a, z_b))
+        assert local.product_outcome == nonlocal_.product_outcome == z_a * z_b
+        assert (local.ebits_consumed, nonlocal_.ebits_consumed) == (0, 1)
     with pytest.raises(ValueError, match="strategy"):
-        MeasurementRecord("S_zz", "psychic", (+1, -1), -1, 0)
+        MeasurementRecord("S_zz", "psychic", (+1, -1))
 
 
 def test_same_seed_gives_identical_record_sequences():
