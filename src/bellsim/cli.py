@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -50,15 +51,20 @@ class RunConfig:
     emit_trace: str | None = None
 
 
+_DECIMAL = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# a real part ends where the signed imaginary part, or the token, begins
+_COEFFICIENT = re.compile(rf"(?:(?P<re>{_DECIMAL})(?=[+-]|\Z))?(?:(?P<im>{_DECIMAL})i)?")
+
+
 def _parse_complex(token: str) -> complex:
     """Parse one coefficient in re[+im i] form, e.g. '0.6', '0.8i', '1-2i'."""
-    text = token.strip().replace(" ", "").replace("i", "j")
+    text = token.strip().replace(" ", "")
     if not text:
         raise ValueError("empty coefficient")
-    try:
-        return complex(text)
-    except ValueError:
-        raise ValueError(f"bad complex component {token!r}") from None
+    match = _COEFFICIENT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"bad complex component {token!r}")
+    return complex(float(match["re"] or 0), float(match["im"] or 0))
 
 
 def resolve_state(spec: str, seed: int):
@@ -153,10 +159,8 @@ def cmd_run(config: RunConfig) -> int:
     if config.trials > MAX_TRIALS:
         print(f"error: trials capped at {MAX_TRIALS} to keep runs short", file=sys.stderr)
         return 2
-    if not 0 <= config.seed < 2**64:  # RngStream keys on 64 bits
-        print("error: seed must be in [0, 2**64)", file=sys.stderr)
-        return 2
     try:
+        RngStream(config.seed)  # the library owns the seed range
         scheme = get_scheme(config.scheme)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

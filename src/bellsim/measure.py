@@ -37,8 +37,8 @@ from .qstate import (
 LOCAL = "local"
 NONLOCAL = "nonlocal"
 
-# Branches below this probability are never sampled; the surviving branch is
-# taken deterministically (avoids renormalizing a ~null state).
+# Branches at or below this probability are never taken, and a single live
+# branch is taken without a draw (avoids renormalizing a ~null state).
 PROB_FLOOR = 1e-12
 
 
@@ -61,14 +61,16 @@ class RngStream:
     splitmix64 sequence keyed by the stream -- so the same seed and draw
     history always reproduce the same outcomes, independent of platform and
     scheduling. ``substream(i)`` derives the independent stream with path
-    extended by i, which is how per-trial streams are split.
+    extended by i, how per-trial streams split; seed and i lie in [0, 2**64).
     """
 
     __slots__ = ("seed", "path", "counter", "_key")
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
-        self.seed = int(seed) & _MASK64
-        self.path = tuple(int(p) & _MASK64 for p in _path)
+        if not 0 <= seed <= _MASK64:
+            raise ValueError("seed must be in [0, 2**64)")
+        self.seed = int(seed)
+        self.path = tuple(int(p) for p in _path)
         self.counter = 0
         key = _mix64(self.seed)
         for p in self.path:
@@ -81,6 +83,8 @@ class RngStream:
         return (_mix64(self._key + self.counter * _GOLDEN) >> 11) * 1.1102230246251565e-16
 
     def substream(self, index: int) -> "RngStream":
+        if not 0 <= index <= _MASK64:
+            raise ValueError("substream index must be in [0, 2**64)")
         return RngStream(self.seed, self.path + (index,))
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -139,35 +143,39 @@ class MeasurementRecord:
         return 0 if self.strategy == LOCAL else 1
 
 
-def _sample_z(amps: np.ndarray, qubit: int, rng: RngStream):
-    """Born-sample a sigma_z readout of ``qubit`` on a flat amplitude array.
+def _z_branches(amps: np.ndarray, qubit: int):
+    """(w0, post_of) of a sigma_z readout of ``qubit`` on a flat amplitude array.
 
-    Returns (outcome +-1, collapsed renormalized array, branch probability).
-    Deterministic branches (probability within PROB_FLOOR of 0 or 1) consume
-    no randomness. Views the array as (pre, 2, post) so no transpose is
-    needed.
+    w0 is the Born weight of readout +1; post_of(bit) is the collapsed,
+    renormalized array (bit 0 for +1). Views the array as (pre, 2, post).
     """
     view = amps.reshape(1 << qubit, 2, -1)
     branch0 = view[:, 0, :]
     w0 = float(np.vdot(branch0, branch0).real)
-    if w0 < PROB_FLOOR:
-        bit = 1
-    elif w0 > 1.0 - PROB_FLOOR:
-        bit = 0
-    else:
-        bit = 0 if rng.uniform() < w0 else 1
-    prob = w0 if bit == 0 else 1.0 - w0
-    post = np.zeros_like(amps)
-    np.multiply(
-        view[:, bit, :],
-        1.0 / np.sqrt(prob),
-        out=post.reshape(1 << qubit, 2, -1)[:, bit, :],
-    )
-    return 1 - 2 * bit, post, prob
+
+    def post_of(bit: int) -> np.ndarray:
+        post = np.zeros_like(amps)
+        np.multiply(
+            view[:, bit, :],
+            1.0 / np.sqrt(w0 if bit == 0 else 1.0 - w0),
+            out=post.reshape(1 << qubit, 2, -1)[:, bit, :],
+        )
+        return post
+
+    return w0, post_of
+
+
+def _choose_bit(w0: float, rng: RngStream) -> int:
+    """:func:`_choose_outcome` on (w0, 1 - w0): w0 + fl(1 - w0) == 1, so u < w0."""
+    if w0 <= PROB_FLOOR:
+        return 1
+    if 1.0 - w0 <= PROB_FLOOR:
+        return 0
+    return 0 if rng.uniform() < w0 else 1
 
 
 def _choose_outcome(weights: np.ndarray, rng: RngStream) -> int:
-    """Pick an index by its Born weight; branches below PROB_FLOOR are dead.
+    """Pick an index by its Born weight; branches at or below PROB_FLOOR are dead.
 
     A single surviving branch is taken without consuming randomness, and a
     draw that lands on a dead sliver is redirected to the heaviest branch
@@ -198,59 +206,26 @@ def measure_local_pauli(s: StateVector, qubit: int, axis: str, rng: RngStream):
     amps = s.amplitudes
     if axis != "z":
         amps = _apply_matrix(amps, s.n_qubits, u, [qubit])
-    outcome, amps, _ = _sample_z(amps, qubit, rng)
+    w0, post_of = _z_branches(amps, qubit)
+    bit = _choose_bit(w0, rng)
+    amps = post_of(bit)
     if axis != "z":
         amps = _apply_matrix(amps, s.n_qubits, u.conj().T, [qubit])
-    return outcome, _wrap(s.n_qubits, amps)
-
-
-def local_product_measurement(s: StateVector, sp: SpinProduct, rng: RngStream):
-    """Measure S_ij by simultaneous local Pauli measurements plus a product.
-
-    The post-state is one of the four joint eigenvectors of the local
-    factors, i.e. a product state: eigenspace superpositions do not survive.
-    """
-    if s.n_qubits != 2:
-        raise ValueError("expected a 2-qubit state")
-    amps = s.amplitudes
-    rotated = sp.i != "z" or sp.j != "z"
-    if rotated:
-        rot, rot_back = _system_rotation(sp.i, sp.j)
-        amps = rot @ amps
-    # both site readouts commute: one Born draw over the four joint
-    # eigenvectors is the exact sequential measurement
-    index = _choose_outcome(np.abs(amps) ** 2, rng)
-    z_a, z_b = 1 - 2 * (index >> 1), 1 - 2 * (index & 1)
-    pivot = amps[index]
-    eigenvector = rot_back[:, index] if rotated else _COMPUTATIONAL_COLUMNS[index]
-    post = eigenvector * (pivot / abs(pivot))
-    return MeasurementRecord(sp.name, LOCAL, (z_a, z_b)), _wrap(2, post)
-
-
-def _embed(u: np.ndarray, targets, n: int) -> np.ndarray:
-    """Expand a gate on ``targets`` to the full 2^n x 2^n matrix."""
-    dim = 1 << n
-    full = np.empty((dim, dim), dtype=complex)
-    for col in range(dim):
-        basis = np.zeros(dim, dtype=complex)
-        basis[col] = 1.0
-        full[:, col] = _apply_matrix(basis, n, u, targets)
-    return full
+    return 1 - 2 * bit, _wrap(s.n_qubits, amps)
 
 
 def _coupled_injection() -> np.ndarray:
     """16x4 map: system amplitudes -> post-CNOT joint state with a |Phi+> meter.
 
     Both parties' system->meter CNOTs act on the [A_sys, B_sys, A_meter,
-    B_meter] register, fused into one matrix (they commute).
+    B_meter] register, applied to each system basis state (they commute).
     """
-    coupling = _embed(CNOT, (1, 3), 4) @ _embed(CNOT, (0, 2), 4)
     phi = bell_state(BellLabel.PHI_PLUS).amplitudes
-    columns = np.zeros((16, 4), dtype=complex)
-    for k in range(4):
-        system = np.zeros(4, dtype=complex)
-        system[k] = 1.0
-        columns[:, k] = coupling @ np.multiply.outer(system, phi).ravel()
+    columns = np.empty((16, 4), dtype=complex)
+    for k, joint in enumerate(np.kron(np.eye(4), phi)):
+        for targets in ((0, 2), (1, 3)):
+            joint = _apply_matrix(joint, 4, CNOT, targets)
+        columns[:, k] = joint
     columns.setflags(write=False)
     return columns
 
@@ -262,16 +237,71 @@ _COMPUTATIONAL_COLUMNS.setflags(write=False)
 _ROTATIONS: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _system_rotation(i: str, j: str):
-    """kron(u_i, u_j) basis change on the system pair, plus its inverse."""
-    hit = _ROTATIONS.get((i, j))
+def _to_zz_basis(amps: np.ndarray, sp: SpinProduct):
+    """(kron(u_i, u_j) amps, its inverse): S_ij read as S_zz; no rotation for S_zz."""
+    if sp.i == "z" and sp.j == "z":
+        return amps, None
+    hit = _ROTATIONS.get((sp.i, sp.j))
     if hit is None:
-        u = np.kron(BASIS_CHANGE[i], BASIS_CHANGE[j])
+        u = np.kron(BASIS_CHANGE[sp.i], BASIS_CHANGE[sp.j])
         hit = (u, u.conj().T)
         for arr in hit:
             arr.setflags(write=False)
-        _ROTATIONS[(i, j)] = hit
-    return hit
+        _ROTATIONS[(sp.i, sp.j)] = hit
+    return hit[0] @ amps, hit[1]
+
+
+def local_branches(amps: np.ndarray, sp: SpinProduct):
+    """(weights, post_of) of the local S_ij measurement, as :func:`nonlocal_branches`.
+
+    A branch's post-state is the joint eigenvector of the two commuting site
+    observables, carrying the input's phase.
+    """
+    amps, rot_back = _to_zz_basis(amps, sp)
+
+    def post_of(index: int) -> np.ndarray:
+        pivot = amps[index]
+        eigenvector = _COMPUTATIONAL_COLUMNS[index] if rot_back is None else rot_back[:, index]
+        return eigenvector * (pivot / abs(pivot))
+
+    return np.abs(amps) ** 2, post_of
+
+
+def nonlocal_branches(amps: np.ndarray, sp: SpinProduct):
+    """(weights, post_of) of the nonlocal S_ij measurement on 2-qubit amplitudes.
+
+    ``weights`` are the four Born weights, indexed by the readout bits
+    2 * bit(z_A) + bit(z_B) (bit 0 for +1); ``post_of(index)`` builds that
+    branch's renormalized post-state with the collapsed meter traced out.
+    """
+    amps, rot_back = _to_zz_basis(amps, sp)
+    by_meter = (_INJECT_PHI_PLUS @ amps).reshape(4, 2, 2)
+    weights = (np.abs(by_meter) ** 2).sum(axis=0).reshape(-1)
+
+    def post_of(index: int) -> np.ndarray:
+        post = by_meter[:, index >> 1, index & 1] / np.sqrt(weights[index])
+        return post if rot_back is None else rot_back @ post
+
+    return weights, post_of
+
+
+def _product_measurement(s: StateVector, sp: SpinProduct, rng: RngStream, strategy: str, branches):
+    """Draw one branch of a spin-product measurement and record its readouts."""
+    if s.n_qubits != 2:
+        raise ValueError("expected a 2-qubit state")
+    weights, post_of = branches(s.amplitudes, sp)
+    index = _choose_outcome(weights, rng)
+    readouts = (1 - 2 * (index >> 1), 1 - 2 * (index & 1))
+    return MeasurementRecord(sp.name, strategy, readouts), _wrap(2, post_of(index))
+
+
+def local_product_measurement(s: StateVector, sp: SpinProduct, rng: RngStream):
+    """Measure S_ij by simultaneous local Pauli measurements plus a product.
+
+    The post-state is one of the four joint eigenvectors of the local
+    factors, i.e. a product state: eigenspace superpositions do not survive.
+    """
+    return _product_measurement(s, sp, rng, LOCAL, local_branches)
 
 
 def nonlocal_product_measurement(s: StateVector, sp: SpinProduct, rng: RngStream):
@@ -288,30 +318,7 @@ def nonlocal_product_measurement(s: StateVector, sp: SpinProduct, rng: RngStream
     Bell state would flip the product outcome, and a non-maximally entangled
     pair would not realize the measurement.
     """
-    if s.n_qubits != 2:
-        raise ValueError("expected a 2-qubit state")
-
-    amps = s.amplitudes
-    rotated = sp.i != "z" or sp.j != "z"
-    if rotated:
-        rot, rot_back = _system_rotation(sp.i, sp.j)
-        amps = rot @ amps
-
-    joint = _INJECT_PHI_PLUS @ amps
-
-    # Both meter readouts commute: draw the (z_A, z_B) pair jointly, then
-    # project and trace the collapsed meter out in one slice.
-    by_meter = joint.reshape(4, 2, 2)
-    weights = (np.abs(by_meter) ** 2).sum(axis=0).reshape(-1)
-    index = _choose_outcome(weights, rng)
-    bit_a, bit_b = index >> 1, index & 1
-    z_a, z_b = 1 - 2 * bit_a, 1 - 2 * bit_b
-    post = by_meter[:, bit_a, bit_b] / np.sqrt(weights[index])
-
-    if rotated:
-        post = rot_back @ post
-
-    return MeasurementRecord(sp.name, NONLOCAL, (z_a, z_b)), _wrap(2, post)
+    return _product_measurement(s, sp, rng, NONLOCAL, nonlocal_branches)
 
 
 def povm_family(strategy: str, sp: SpinProduct) -> list[PovmElement]:

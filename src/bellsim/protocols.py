@@ -254,7 +254,8 @@ def run_fig1(s: StateVector, rng: RngStream, record_trace: bool = True) -> Proto
     run.emit("readout", BOB, "measure:z", (_SYSTEM_B,), outcome=z_b)
     # the wire carrying the Hadamard resolves +/-, the other Phi/Psi
     m, n = z_b, z_a
-    run.exchange_and_derive("readout", "classify", z_a, z_b, classify(m, n).value)
+    if record_trace:
+        run.exchange_and_derive("readout", "classify", z_a, z_b, classify(m, n).value)
     return ProtocolResult((m, n), state, run.trace_tuple(), run.ledger)
 
 

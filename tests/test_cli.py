@@ -5,6 +5,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellsim.cli as cli
 import bellsim.verify as verify
@@ -41,7 +43,12 @@ def test_run_rejects_zero_trials(capsys):
 
 
 @pytest.mark.parametrize(
-    "bad", ["0.6,0,0", "what,0,0,0", "0,0,0,0", "0.5+,0,0,0", "nan,0,0,0", "1e400,0,0,0"]
+    "bad",
+    [
+        "0.6,0,0", "what,0,0,0", "0,0,0,0", "0.5+,0,0,0", "nan,0,0,0", "1e400,0,0,0",
+        # outside the re[+im i] grammar, though Python's complex() takes them
+        "1_0,0,0,0", "(1+0i),0,0,0", "1+2j,0,0,0", "inf,0,0,0", "1+i,0,0,0", "\u0661,0,0,0",
+    ],
 )
 def test_run_rejects_bad_state_specs(capsys, bad):
     code, _, err = run_cli(capsys, "run", "--scheme", "fig1", "--state", bad, "--trials", "5")
@@ -84,6 +91,15 @@ def test_imaginary_coefficient_grammar():
     assert not renormalized
     assert coeffs[1] == pytest.approx(0.8j, abs=1e-12)
     assert state.n_qubits == 2
+
+
+@given(value=st.complex_numbers(allow_nan=False, allow_infinity=False))
+@settings(max_examples=300, deadline=None)
+def test_formatted_coefficients_parse_back(value):
+    text = cli._format_complex(value)
+    parsed = cli._parse_complex(text)
+    assert parsed == complex(float(f"{value.real:.12g}"), float(f"{value.imag:.12g}"))
+    assert cli._format_complex(parsed) == text
 
 
 def test_named_state_coefficients_exact():

@@ -14,15 +14,19 @@ from bellsim.measure import (
     PovmElement,
     PROB_FLOOR,
     RngStream,
+    _INJECT_PHI_PLUS,
+    _choose_bit,
     _choose_outcome,
+    local_branches,
     local_product_measurement,
     meas_operator_family,
     measure_local_pauli,
+    nonlocal_branches,
     nonlocal_product_measurement,
     outcome_probability,
     povm_family,
 )
-from bellsim.qstate import computational_state, haar_random_state, make_state, states_equal
+from bellsim.qstate import StateVector, computational_state, haar_random_state, make_state, states_equal
 
 SQ2 = 1.0 / np.sqrt(2.0)
 AXES = ("x", "y", "z")
@@ -44,6 +48,18 @@ def test_rng_substreams_deterministic_and_distinct():
     again = {i: RngStream(99).substream(i).uniform() for i in range(16)}
     assert draws == again
     assert len(set(draws.values())) == 16
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RngStream(-1),
+    lambda: RngStream(2**64),
+    lambda: RngStream(0).substream(-1),
+    lambda: RngStream(0).substream(2**64),
+])
+def test_rng_stream_rejects_out_of_range_seeds_and_indices(make):
+    # no aliasing: -1 is not 2**64 - 1 and 2**64 is not 0
+    with pytest.raises(ValueError, match=r"in \[0, 2\*\*64\)"):
+        make()
 
 
 def test_choose_outcome_respects_distribution():
@@ -93,6 +109,19 @@ def test_choose_outcome_floor_rule(weights, seed):
         assert weights[index] > PROB_FLOOR
 
 
+@given(
+    w0=st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from(
+        [PROB_FLOOR, np.nextafter(PROB_FLOOR, 0), np.nextafter(PROB_FLOOR, 1),
+         1 - PROB_FLOOR, np.nextafter(1 - PROB_FLOOR, 0), np.nextafter(1 - PROB_FLOOR, 2)])),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_choose_bit_is_choose_outcome_on_two_weights(w0, seed):
+    scalar, vector = RngStream(seed), RngStream(seed)
+    assert _choose_bit(w0, scalar) == _choose_outcome(np.array([w0, 1.0 - w0]), vector)
+    assert scalar.counter == vector.counter
+
+
 
 # --- single-site Pauli measurement ------------------------------------------
 
@@ -129,6 +158,16 @@ def test_measure_local_pauli_validates_input():
         measure_local_pauli(s, 1, "z", RngStream(0))
     with pytest.raises(ValueError, match="unknown axis"):
         measure_local_pauli(s, 0, "q", RngStream(0))
+
+
+def test_sigma_z_branch_at_the_floor_takes_no_draw():
+    # p(+1) == PROB_FLOOR exactly: the branch is dead, so the readout needs no draw
+    s = StateVector(1, [1e-6, np.sqrt(1 - 1e-12)])
+    assert abs(s.amplitudes[0]) ** 2 == PROB_FLOOR
+    rng = RngStream(0)
+    outcome, post = measure_local_pauli(s, 0, "z", rng)
+    assert (outcome, rng.counter) == (-1, 0)
+    np.testing.assert_array_equal(post.amplitudes, [0, 1])
 
 
 def test_never_returns_null_state_on_deterministic_branch():
@@ -236,6 +275,54 @@ def test_post_state_law_all_axes():
             branch = sp.projector(rec.product_outcome) @ s.amplitudes
             expected = make_state(branch)
             assert states_equal(post, expected)
+
+
+# --- branch contract -----------------------------------------------------------
+
+def test_injection_matches_explicit_cnot_permutation():
+    # register bits [A_sys, B_sys, A_meter, B_meter], qubit 0 most significant
+    phi = np.array([1, 0, 0, 1]) / np.sqrt(2.0)
+    expected = np.zeros((16, 4), dtype=complex)
+    for k in range(4):
+        a, b = k >> 1, k & 1
+        for meter in range(4):
+            m_a, m_b = (meter >> 1) ^ a, (meter & 1) ^ b
+            expected[(a << 3) | (b << 2) | (m_a << 1) | m_b, k] = phi[meter]
+    np.testing.assert_array_equal(_INJECT_PHI_PLUS, expected)
+    assert not _INJECT_PHI_PLUS.flags.writeable
+
+
+_KERNELS = (
+    (local_branches, local_product_measurement, LOCAL),
+    (nonlocal_branches, nonlocal_product_measurement, NONLOCAL),
+)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_branch_contract_on_haar_states(seed):
+    s = haar_random_state(2, np.random.default_rng(seed))
+    for (i, j), (branches, kernel, strategy) in itertools.product(
+        itertools.product(AXES, repeat=2), _KERNELS
+    ):
+        sp = spin_product(i, j)
+        weights, post_of = branches(s.amplitudes, sp)
+        assert weights.shape == (4,) and (weights >= 0).all()
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        for index in np.flatnonzero(weights > PROB_FLOOR):
+            post = post_of(index)
+            assert abs(np.linalg.norm(post) - 1.0) <= 1e-12
+            if strategy == NONLOCAL:
+                m = (1 - 2 * (index >> 1)) * (1 - 2 * (index & 1))
+                expected = make_state(sp.projector(m) @ s.amplitudes)
+                assert states_equal(StateVector(2, post), expected)
+        # the kernel is exactly "branches, then _choose_outcome"
+        for k in range(3):
+            index = _choose_outcome(weights, RngStream(k))
+            record, post = kernel(s, sp, RngStream(k))
+            assert record.strategy == strategy
+            assert record.local_outcomes == (1 - 2 * (index >> 1), 1 - 2 * (index & 1))
+            assert np.array_equal(post.amplitudes, post_of(index))
 
 
 # --- POVM / Kraus algebra ------------------------------------------------------

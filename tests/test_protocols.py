@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bellsim.bellcore import BellCoefficients, BellLabel, bell_state, from_bell, outcome_pair, to_bell
+from bellsim import photonic
 from bellsim.measure import RngStream
 from bellsim.protocols import (
     AuditReport,
@@ -12,6 +13,7 @@ from bellsim.protocols import (
     Party,
     ProtocolResult,
     ResourceLedger,
+    SCHEMES,
     TraceEvent,
     analytic_label_distribution,
     fig1_unitary,
@@ -300,6 +302,42 @@ def test_outcome_distribution_validates_arguments():
         outcome_distribution(s, "scheme_a", 0, 1)
     with pytest.raises(ValueError, match="unknown scheme"):
         outcome_distribution(s, "scheme_c", 10, 1)
+
+
+# uniform draws per trial: a fig1 readout of a Bell input is certain, while each
+# nonlocal meter pair and the local S_xx readout are fair coins on any input
+DRAWS_PER_TRIAL = {
+    ("fig1", "haar"): 2, ("scheme_a", "haar"): 2, ("scheme_b", "haar"): 2, ("photonic", "haar"): 1,
+    ("fig1", "bell"): 0, ("scheme_a", "bell"): 2, ("scheme_b", "bell"): 2, ("photonic", "bell"): 1,
+}
+
+
+@pytest.mark.parametrize("scheme,kind", sorted(DRAWS_PER_TRIAL))
+def test_draws_per_trial_are_pinned(scheme, kind):
+    if kind == "haar":
+        gen = np.random.default_rng(73)
+        states = [haar_random_state(2, gen) for _ in range(8)]
+    else:
+        states = [bell_state(label) for label in LABELS]
+    for t, s in enumerate(states):
+        counters = []
+        for traced in (False, True):
+            rng = RngStream(79).substream(t)
+            if scheme == "photonic":  # no runner and no trace: one detection
+                photonic.detect(photonic.build_photonic_run(s), rng)
+            else:
+                SCHEMES[scheme].runner(s, rng, record_trace=traced)
+            counters.append(rng.counter)
+        assert counters == [DRAWS_PER_TRIAL[scheme, kind]] * 2
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_library_rejects_out_of_range_seeds(seed):
+    s = bell_state(BellLabel.PHI_PLUS)
+    with pytest.raises(ValueError, match="seed"):
+        list(iterate_runs(s, "fig1", 1, seed))
+    with pytest.raises(ValueError, match="seed"):
+        outcome_distribution(s, "photonic", 1, seed)
 
 
 def test_iterate_runs_reproducible_sequences():
