@@ -18,15 +18,12 @@ from .bellcore import (
     to_bell,
 )
 from .measure import (
-    MeasOperator,
     MeasurementRecord,
-    PovmElement,
     RngStream,
     local_product_measurement,
     meas_operator_family,
     measure_local_pauli,
     nonlocal_product_measurement,
-    outcome_probability,
     povm_family,
 )
 from .photonic import build_photonic_run, detect, photonic_label
@@ -62,10 +59,8 @@ __all__ = [
     "BellCoefficients",
     "BellLabel",
     "ClassicalMessage",
-    "MeasOperator",
     "MeasurementRecord",
     "Party",
-    "PovmElement",
     "ProtocolResult",
     "ResourceLedger",
     "RngStream",
@@ -91,7 +86,6 @@ __all__ = [
     "nonlocal_product_measurement",
     "outcome_distribution",
     "outcome_pair",
-    "outcome_probability",
     "photonic_label",
     "povm_family",
     "run_fig1",

@@ -37,15 +37,10 @@ class BellLabel(Enum):
     @property
     def index(self) -> int:
         """Position in the coefficient expansion: 0 for c1 ... 3 for c4."""
-        return _LABEL_ORDER.index(self)
+        return _LABEL_INDEX[self]
 
 
-_LABEL_ORDER = (
-    BellLabel.PHI_PLUS,
-    BellLabel.PHI_MINUS,
-    BellLabel.PSI_PLUS,
-    BellLabel.PSI_MINUS,
-)
+_LABEL_INDEX = {label: k for k, label in enumerate(BellLabel)}
 
 _BELL_AMPLITUDES = {
     BellLabel.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) * _SQRT2_INV,
@@ -100,14 +95,14 @@ def to_bell(s: StateVector) -> BellCoefficients:
     """Expand a 2-qubit state in the Bell basis."""
     if s.n_qubits != 2:
         raise ValueError("expected a 2-qubit state")
-    return BellCoefficients(*(inner(bell_state(label), s) for label in _LABEL_ORDER))
+    return BellCoefficients(*(inner(bell_state(label), s) for label in BellLabel))
 
 
 def from_bell(c: BellCoefficients) -> StateVector:
     """Reassemble the state c1|Phi+> + c2|Phi-> + c3|Psi+> + c4|Psi->."""
     amps = sum(
         coeff * _BELL_AMPLITUDES[label]
-        for coeff, label in zip(c.as_tuple(), _LABEL_ORDER)
+        for coeff, label in zip(c.as_tuple(), BellLabel)
     )
     return StateVector(2, amps)
 

@@ -14,6 +14,9 @@ Two routes to measuring S_ij = sigma_i (x) sigma_j on a shared qubit pair:
 
 Both strategies realize the same POVM {(I + S_ij)/2, (I - S_ij)/2}; they
 differ only in the measurement (Kraus) operators and hence the post-state.
+Each strategy is one entry of :data:`STRATEGIES`: its branch function (the
+sampler) and its Kraus family, from which :func:`povm_family` derives the
+POVM.
 
 Sampling is Born-rule exact and driven by :class:`RngStream`, a seeded,
 splittable stream, so every run is reproducible.
@@ -21,12 +24,12 @@ splittable stream, so every run is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .bellcore import BellLabel, SpinProduct, bell_state
 from .qstate import (
-    ATOL,
     BASIS_CHANGE,
     CNOT,
     StateVector,
@@ -91,30 +94,6 @@ class RngStream:
         return f"RngStream(seed={self.seed}, path={self.path}, counter={self.counter})"
 
 
-@dataclass(frozen=True, eq=False)
-class PovmElement:
-    """One POVM outcome: a label and a positive semidefinite matrix."""
-
-    label: object
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if not np.allclose(m, m.conj().T, atol=ATOL):
-            raise ValueError("POVM element not Hermitian")
-        if np.linalg.eigvalsh(m).min() < -ATOL:
-            raise ValueError("POVM element not positive semidefinite")
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True, eq=False)
-class MeasOperator:
-    """One measurement (Kraus) operator; a family satisfies sum M^dag M = I."""
-
-    label: object
-    matrix: np.ndarray
-
-
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One spin-product measurement event.
@@ -128,8 +107,7 @@ class MeasurementRecord:
     local_outcomes: tuple[int, int]
 
     def __post_init__(self) -> None:
-        if self.strategy not in (LOCAL, NONLOCAL):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+        get_strategy(self.strategy)
 
     @property
     def product_outcome(self) -> int:
@@ -140,7 +118,7 @@ class MeasurementRecord:
     @property
     def ebits_consumed(self) -> int:
         """One |Phi+> meter pair per nonlocal measurement, none for a local one."""
-        return 0 if self.strategy == LOCAL else 1
+        return STRATEGIES[self.strategy].ebits
 
 
 def _z_branches(amps: np.ndarray, qubit: int):
@@ -285,11 +263,49 @@ def nonlocal_branches(amps: np.ndarray, sp: SpinProduct):
     return weights, post_of
 
 
-def _product_measurement(s: StateVector, sp: SpinProduct, rng: RngStream, strategy: str, branches):
+def _local_kraus(sp: SpinProduct) -> dict:
+    """Rank-1 projectors onto the site observables' joint eigenvectors, keyed (mu, nu)."""
+    family = {}
+    u_a, u_b = BASIS_CHANGE[sp.i], BASIS_CHANGE[sp.j]
+    for mu, col_a in ((+1, 0), (-1, 1)):
+        for nu, col_b in ((+1, 0), (-1, 1)):
+            vec = np.kron(u_a.conj().T[:, col_a], u_b.conj().T[:, col_b])
+            family[(mu, nu)] = np.outer(vec, vec.conj())
+    return family
+
+
+def _nonlocal_kraus(sp: SpinProduct) -> dict:
+    """The two eigenspace projectors M_+- = (I +- S_ij)/2, keyed by the product outcome."""
+    return {+1: sp.projector_plus, -1: sp.projector_minus}
+
+
+class Strategy(NamedTuple):
+    """A spin-product measurement: sampler and Kraus family, built independently."""
+
+    ebits: int  # |Phi+> meter pairs spent per measurement
+    branches: Callable  # (amps, sp) -> (weights, post_of)
+    kraus: Callable  # sp -> {outcome: Kraus operator}
+
+
+STRATEGIES = {
+    LOCAL: Strategy(0, local_branches, _local_kraus),
+    NONLOCAL: Strategy(1, nonlocal_branches, _nonlocal_kraus),
+}
+
+
+def get_strategy(name: str) -> Strategy:
+    """The table entry for ``name``; ``ValueError`` for an unknown strategy."""
+    try:
+        return STRATEGIES[name]
+    except KeyError:
+        raise ValueError(f"unknown strategy {name!r}") from None
+
+
+def _product_measurement(s: StateVector, sp: SpinProduct, rng: RngStream, strategy: str):
     """Draw one branch of a spin-product measurement and record its readouts."""
     if s.n_qubits != 2:
         raise ValueError("expected a 2-qubit state")
-    weights, post_of = branches(s.amplitudes, sp)
+    weights, post_of = STRATEGIES[strategy].branches(s.amplitudes, sp)
     index = _choose_outcome(weights, rng)
     readouts = (1 - 2 * (index >> 1), 1 - 2 * (index & 1))
     return MeasurementRecord(sp.name, strategy, readouts), _wrap(2, post_of(index))
@@ -301,7 +317,7 @@ def local_product_measurement(s: StateVector, sp: SpinProduct, rng: RngStream):
     The post-state is one of the four joint eigenvectors of the local
     factors, i.e. a product state: eigenspace superpositions do not survive.
     """
-    return _product_measurement(s, sp, rng, LOCAL, local_branches)
+    return _product_measurement(s, sp, rng, LOCAL)
 
 
 def nonlocal_product_measurement(s: StateVector, sp: SpinProduct, rng: RngStream):
@@ -318,49 +334,27 @@ def nonlocal_product_measurement(s: StateVector, sp: SpinProduct, rng: RngStream
     Bell state would flip the product outcome, and a non-maximally entangled
     pair would not realize the measurement.
     """
-    return _product_measurement(s, sp, rng, NONLOCAL, nonlocal_branches)
+    return _product_measurement(s, sp, rng, NONLOCAL)
 
 
-def povm_family(strategy: str, sp: SpinProduct) -> list[PovmElement]:
-    """POVM {E_+, E_-} of a spin-product measurement.
+def meas_operator_family(strategy: str, sp: SpinProduct) -> dict:
+    """Measurement (Kraus) operators of a spin-product measurement, {outcome: matrix}.
 
-    Identical for both strategies: E_+- = (I +- S_ij)/2, the projectors onto
-    the +-1 eigenspaces.
+    The local strategy has four rank-1 projectors keyed by the site outcome
+    pair (mu, nu); the nonlocal strategy has the two eigenspace projectors
+    keyed by the product outcome.
     """
-    if strategy not in (LOCAL, NONLOCAL):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return [
-        PovmElement(+1, sp.projector_plus),
-        PovmElement(-1, sp.projector_minus),
-    ]
+    return get_strategy(strategy).kraus(sp)
 
 
-def meas_operator_family(strategy: str, sp: SpinProduct) -> list[MeasOperator]:
-    """Measurement (Kraus) operators of a spin-product measurement.
+def povm_family(strategy: str, sp: SpinProduct) -> dict[int, np.ndarray]:
+    """POVM {+1: E_+, -1: E_-} of a spin-product measurement, derived from its Kraus family.
 
-    The local strategy has four rank-1 projectors onto the joint eigenstates
-    of the site observables, labelled by the outcome pair (mu, nu); the
-    nonlocal strategy has the two eigenspace projectors M_+- = (I +- S_ij)/2.
+    E_m sums M^dag M over the Kraus operators whose outcomes multiply to m.
+    Both strategies should give (I +- S_ij)/2; ``bellsim verify`` checks it.
     """
-    if strategy == NONLOCAL:
-        return [
-            MeasOperator(+1, sp.projector_plus),
-            MeasOperator(-1, sp.projector_minus),
-        ]
-    if strategy == LOCAL:
-        family = []
-        u_a, u_b = BASIS_CHANGE[sp.i], BASIS_CHANGE[sp.j]
-        for mu, col_a in ((+1, 0), (-1, 1)):
-            for nu, col_b in ((+1, 0), (-1, 1)):
-                vec = np.kron(u_a.conj().T[:, col_a], u_b.conj().T[:, col_b])
-                family.append(MeasOperator((mu, nu), np.outer(vec, vec.conj())))
-        return family
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def outcome_probability(s: StateVector, e: PovmElement) -> float:
-    """Born probability <s|E|s>, clamped to [0, 1]."""
-    if e.matrix.shape[0] != s.dim:
-        raise ValueError("dimension mismatch")
-    p = np.vdot(s.amplitudes, e.matrix @ s.amplitudes).real
-    return min(1.0, max(0.0, float(p)))
+    family = meas_operator_family(strategy, sp)
+    return {
+        m: sum(op.conj().T @ op for key, op in family.items() if np.prod(key) == m)
+        for m in (+1, -1)
+    }

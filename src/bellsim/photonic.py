@@ -32,7 +32,7 @@ import numpy as np
 
 from .bellcore import BellLabel, bell_state, classify
 from .measure import RngStream, _choose_outcome
-from .qstate import CNOT, HADAMARD, StateVector, apply_unitary, bit_of, computational_state, tensor
+from .qstate import CNOT, HADAMARD, StateVector, _apply_matrix, bit_of, computational_state, tensor
 
 N_QUBITS = 6
 
@@ -77,10 +77,11 @@ class DetectorIndex:
         return 1 - 2 * (self.port & 1)
 
 
-def _optical_block(state: StateVector, reg: PhotonRegister) -> StateVector:
-    state = apply_unitary(state, CNOT, [reg.polarization, reg.path_z])
-    state = apply_unitary(state, HADAMARD, [reg.polarization])
-    return apply_unitary(state, CNOT, [reg.polarization, reg.path_x])
+def _optical_block(amps: np.ndarray, reg: PhotonRegister) -> np.ndarray:
+    """PBS(Z), HWP, PBS(X) on one photon's qubits of the register amplitudes."""
+    amps = _apply_matrix(amps, N_QUBITS, CNOT, (reg.polarization, reg.path_z))
+    amps = _apply_matrix(amps, N_QUBITS, HADAMARD, (reg.polarization,))
+    return _apply_matrix(amps, N_QUBITS, CNOT, (reg.polarization, reg.path_x))
 
 
 def build_photonic_run(s: StateVector, block_order=(REGISTER_A, REGISTER_B)) -> StateVector:
@@ -92,10 +93,10 @@ def build_photonic_run(s: StateVector, block_order=(REGISTER_A, REGISTER_B)) -> 
     """
     if s.n_qubits != 2:
         raise ValueError("expected a 2-qubit polarization state")
-    full = tensor(tensor(s, bell_state(BellLabel.PHI_PLUS)), computational_state("00"))
+    amps = tensor(tensor(s, bell_state(BellLabel.PHI_PLUS)), computational_state("00")).amplitudes
     for reg in block_order:
-        full = _optical_block(full, reg)
-    return full
+        amps = _optical_block(amps, reg)
+    return StateVector(N_QUBITS, amps)
 
 
 def detect(final: StateVector, rng: RngStream) -> tuple[DetectorIndex, DetectorIndex]:

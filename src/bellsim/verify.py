@@ -28,7 +28,7 @@ from .bellcore import (
 )
 from .measure import (
     LOCAL,
-    NONLOCAL,
+    STRATEGIES,
     RngStream,
     local_product_measurement,
     meas_operator_family,
@@ -171,27 +171,35 @@ def check_spectral_projectors():
 
 
 def check_measurement_families():
-    """Local and nonlocal POVMs agree; every POVM and Kraus family is complete."""
-    for i, j in itertools.product(AXES, repeat=2):
+    """Each strategy's Kraus family is complete and its derived POVM is (I +- S)/2.
+
+    The sampler (branch function) and the Kraus family are built independently:
+    on a few Haar states the branch weights, summed by product outcome, must
+    equal <psi|E_m|psi>, and each local weight ||M_(mu,nu) psi||^2.
+    """
+    rng = np.random.default_rng(2033)
+    states = [haar_random_state(2, rng).amplitudes for _ in range(4)]
+    for (i, j), (strategy, entry) in itertools.product(itertools.product(AXES, repeat=2), STRATEGIES.items()):
         sp = spin_product(i, j)
-        for e_l, e_n in zip(povm_family(LOCAL, sp), povm_family(NONLOCAL, sp)):
-            delta = float(np.max(np.abs(e_l.matrix - e_n.matrix)))
-            _check(delta <= 1e-12, "strategies disagree at the POVM level", observable=sp.name)
-        for strategy in (LOCAL, NONLOCAL):
-            povm_sum = sum(e.matrix for e in povm_family(strategy, sp))
-            _check(
-                float(np.max(np.abs(povm_sum - np.eye(4)))) <= 1e-12,
-                "POVM incomplete",
-                observable=sp.name,
-                strategy=strategy,
-            )
-            kraus_sum = sum(m.matrix.conj().T @ m.matrix for m in meas_operator_family(strategy, sp))
-            _check(
-                float(np.max(np.abs(kraus_sum - np.eye(4)))) <= 1e-12,
-                "Kraus family incomplete",
-                observable=sp.name,
-                strategy=strategy,
-            )
+        where = {"observable": sp.name, "strategy": strategy}
+        kraus = meas_operator_family(strategy, sp)
+        kraus_sum = sum(op.conj().T @ op for op in kraus.values())
+        _check(float(np.max(np.abs(kraus_sum - np.eye(4)))) <= 1e-12, "Kraus family incomplete", **where)
+        povm = povm_family(strategy, sp)
+        for m in (+1, -1):
+            delta = float(np.max(np.abs(povm[m] - (np.eye(4) + m * np.kron(PAULIS[i], PAULIS[j])) / 2)))
+            _check(delta <= 1e-12, "derived POVM is not (I +- S)/2", outcome=m, deviation=delta, **where)
+        for case, amps in enumerate(states):
+            # weights by readout bits [bit(z_A), bit(z_B)]; equal bits multiply to +1
+            w = entry.branches(amps, sp)[0].reshape(2, 2)
+            pairs = [(+1, w[0, 0] + w[1, 1], povm[+1]), (-1, w[0, 1] + w[1, 0], povm[-1])]
+            if strategy == LOCAL:
+                pairs += [(key, w[(1 - key[0]) // 2, (1 - key[1]) // 2], op.conj().T @ op)
+                          for key, op in kraus.items()]
+            for key, sampled, element in pairs:
+                delta = abs(float(sampled) - float(np.vdot(amps, element @ amps).real))
+                _check(delta <= 1e-12, "branch weights disagree with the Kraus family", case=case, outcome=key,
+                       deviation=delta, **where)
 
 
 def check_superposition_preservation(

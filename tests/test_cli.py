@@ -1,4 +1,5 @@
 """CLI behaviour: reports, exit codes, determinism, trace files."""
+import contextlib
 import csv
 import hashlib
 import io
@@ -100,6 +101,48 @@ def test_formatted_coefficients_parse_back(value):
     parsed = cli._parse_complex(text)
     assert parsed == complex(float(f"{value.real:.12g}"), float(f"{value.imag:.12g}"))
     assert cli._format_complex(parsed) == text
+
+
+# coefficient tokens inside the re[+im i] grammar
+_TOKEN = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.complex_numbers(allow_nan=False, allow_infinity=False).map(cli._format_complex),
+    st.sampled_from(["0", "1", "-0.5", ".5", "2.", "0.8i", "1-2i", "-1e-3+4E2i"]),
+)
+# characters no token of the grammar contains, so one makes the token malformed
+_JUNK = st.sampled_from(list("abcdfghjklmnopqrstuvwxyzI_()#$*/\u0661"))
+_MALFORMED = st.builds(
+    lambda token, at, junk: token[:at] + junk + token[at:], _TOKEN, st.integers(0, 30), _JUNK
+)
+# in the grammar, but the value overflows a double
+_NON_FINITE = st.builds(
+    lambda digit, exponent, imaginary: f"{digit}e{exponent}" + ("i" if imaginary else ""),
+    st.integers(1, 9), st.integers(309, 5000), st.booleans(),
+)
+
+
+def _specs_with_one(bad):
+    """Four-token specs with one ``bad`` token at any position."""
+    return st.builds(
+        lambda tokens, at, token: ",".join(tokens[:at] + [token] + tokens[at:]),
+        st.lists(_TOKEN, min_size=3, max_size=3), st.integers(0, 3), bad,
+    )
+
+
+@given(spec=st.one_of(
+    st.lists(_TOKEN, max_size=8).filter(lambda tokens: len(tokens) != 4).map(",".join),
+    _specs_with_one(_MALFORMED),
+    _specs_with_one(_NON_FINITE),
+))
+@settings(max_examples=200, deadline=None)
+def test_bad_state_specs_are_rejected_at_the_boundary(spec):
+    with pytest.raises(ValueError):
+        resolve_state(spec, seed=0)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", "--scheme", "fig1", f"--state={spec}", "--trials", "1"])
+    assert code == 2
+    assert "invalid state spec" in err.getvalue()
 
 
 def test_named_state_coefficients_exact():

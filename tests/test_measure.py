@@ -11,7 +11,6 @@ from bellsim.measure import (
     LOCAL,
     NONLOCAL,
     MeasurementRecord,
-    PovmElement,
     PROB_FLOOR,
     RngStream,
     _INJECT_PHI_PLUS,
@@ -23,7 +22,6 @@ from bellsim.measure import (
     measure_local_pauli,
     nonlocal_branches,
     nonlocal_product_measurement,
-    outcome_probability,
     povm_family,
 )
 from bellsim.qstate import StateVector, computational_state, haar_random_state, make_state, states_equal
@@ -327,79 +325,87 @@ def test_branch_contract_on_haar_states(seed):
 
 # --- POVM / Kraus algebra ------------------------------------------------------
 
+def _born(s, e):
+    """<s|E|s> for a 2-qubit state and a POVM element."""
+    return float(np.vdot(s.amplitudes, e @ s.amplitudes).real)
+
+
+def _by_product_outcome(weights):
+    """Branch weights, indexed by readout bits, summed into {+1: p_+, -1: p_-}."""
+    w = weights.reshape(2, 2)
+    return {+1: w[0, 0] + w[1, 1], -1: w[0, 1] + w[1, 0]}
+
+
 def test_povm_szz_plus_element():
-    e_plus = povm_family(LOCAL, spin_product("z", "z"))[0]
+    e_plus = povm_family(LOCAL, spin_product("z", "z"))[+1]
     # Pi(++) + Pi(--) = Pi(Phi+) + Pi(Phi-) = (I + S_zz)/2
     direct = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
-    np.testing.assert_allclose(e_plus.matrix, direct, atol=1e-15)
+    np.testing.assert_allclose(e_plus, direct, atol=1e-15)
     bell_sum = sum(
         np.outer(bell_state(l).amplitudes, bell_state(l).amplitudes.conj())
         for l in (BellLabel.PHI_PLUS, BellLabel.PHI_MINUS)
     )
-    np.testing.assert_allclose(e_plus.matrix, bell_sum, atol=1e-15)
+    np.testing.assert_allclose(e_plus, bell_sum, atol=1e-15)
 
 
 def test_povm_identical_across_strategies():
+    # derived from different Kraus families: four rank-1 site projectors
+    # against two eigenspace projectors
     for i, j in itertools.product(AXES, repeat=2):
         sp = spin_product(i, j)
         local = povm_family(LOCAL, sp)
         nonlocal_ = povm_family(NONLOCAL, sp)
-        for e_l, e_n in zip(local, nonlocal_):
-            assert e_l.label == e_n.label
-            np.testing.assert_allclose(e_l.matrix, e_n.matrix, atol=1e-15)
+        assert set(local) == set(nonlocal_) == {+1, -1}
+        for m in (+1, -1):
+            np.testing.assert_allclose(local[m], nonlocal_[m], atol=1e-15)
+            np.testing.assert_allclose(local[m], (np.eye(4) + m * sp.matrix) / 2, atol=1e-15)
 
 
 def test_povm_family_sums_to_identity():
-    for i, j in itertools.product(AXES, repeat=2):
-        total = sum(e.matrix for e in povm_family(LOCAL, spin_product(i, j)))
-        np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
+    for strategy in (LOCAL, NONLOCAL):
+        for i, j in itertools.product(AXES, repeat=2):
+            povm = povm_family(strategy, spin_product(i, j))
+            np.testing.assert_allclose(povm[+1] + povm[-1], np.eye(4), atol=1e-12)
 
 
 def test_kraus_completeness_both_strategies():
     for strategy in (LOCAL, NONLOCAL):
         for i, j in itertools.product(AXES, repeat=2):
             family = meas_operator_family(strategy, spin_product(i, j))
-            total = sum(m.matrix.conj().T @ m.matrix for m in family)
+            total = sum(m.conj().T @ m for m in family.values())
             np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
+
+
+def test_nonlocal_kraus_are_the_eigenspace_projectors():
+    sp = spin_product("x", "y")
+    family = meas_operator_family(NONLOCAL, sp)
+    assert family[+1] is sp.projector_plus and family[-1] is sp.projector_minus
 
 
 def test_local_kraus_are_rank_one_site_projectors():
     family = meas_operator_family(LOCAL, spin_product("z", "z"))
-    labels = {m.label for m in family}
-    assert labels == {(+1, +1), (+1, -1), (-1, +1), (-1, -1)}
-    for m in family:
-        eig = np.linalg.eigvalsh(m.matrix)
+    assert set(family) == {(+1, +1), (+1, -1), (-1, +1), (-1, -1)}
+    for m in family.values():
+        eig = np.linalg.eigvalsh(m)
         np.testing.assert_allclose(np.sort(eig), [0, 0, 0, 1], atol=1e-12)
 
 
 def test_outcome_probability_examples():
     szz = spin_product("z", "z")
     sxx = spin_product("x", "x")
-    e_plus_zz = povm_family(LOCAL, szz)[0]
-    e_plus_xx = povm_family(LOCAL, sxx)[0]
-    assert outcome_probability(bell_state(BellLabel.PHI_PLUS), e_plus_zz) == pytest.approx(1.0, abs=1e-12)
-    assert outcome_probability(computational_state("01"), e_plus_zz) == pytest.approx(0.0, abs=1e-12)
+    e_plus_zz = povm_family(LOCAL, szz)[+1]
+    e_plus_xx = povm_family(LOCAL, sxx)[+1]
+    assert _born(bell_state(BellLabel.PHI_PLUS), e_plus_zz) == pytest.approx(1.0, abs=1e-12)
+    assert _born(computational_state("01"), e_plus_zz) == pytest.approx(0.0, abs=1e-12)
     # |++> expanded in the x product basis puts half its weight in each branch
-    assert outcome_probability(computational_state("00"), e_plus_xx) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_outcome_probability_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        outcome_probability(computational_state("0"), povm_family(LOCAL, spin_product("z", "z"))[0])
-
-
-def test_povm_element_rejects_non_psd():
-    with pytest.raises(ValueError, match="Hermitian"):
-        PovmElement(+1, np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        PovmElement(+1, -np.eye(2, dtype=complex))
+    assert _born(computational_state("00"), e_plus_xx) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_strategies_agree_with_born_rule():
     # local and nonlocal empirical outcome frequencies both match <s|E|s>
     s = from_bell(BellCoefficients(0.5, 0.5j, -0.5, 0.5))
     sp = spin_product("z", "z")
-    p_plus = outcome_probability(s, povm_family(LOCAL, sp)[0])
+    p_plus = _born(s, povm_family(LOCAL, sp)[+1])
     trials = 6000
     for runner, seed in ((local_product_measurement, 43), (nonlocal_product_measurement, 47)):
         plus = sum(
@@ -410,22 +416,27 @@ def test_strategies_agree_with_born_rule():
 
 
 def test_strategy_outcome_distributions_identical_on_random_states():
+    # each strategy's sampler, summed by product outcome, against the other
+    # strategy's sampler and against <s|E_m|s> of its own Kraus-derived POVM
     rng_state = np.random.default_rng(107)
-    for i, j in (("z", "z"), ("x", "x"), ("z", "y")):
+    for i, j in itertools.product(AXES, repeat=2):
         sp = spin_product(i, j)
-        e_local = povm_family(LOCAL, sp)
-        e_nonlocal = povm_family(NONLOCAL, sp)
-        for _ in range(500):
+        povms = {strategy: povm_family(strategy, sp) for strategy in (LOCAL, NONLOCAL)}
+        for _ in range(200):
             s = haar_random_state(2, rng_state)
-            for e_l, e_n in zip(e_local, e_nonlocal):
-                assert abs(outcome_probability(s, e_l) - outcome_probability(s, e_n)) <= 1e-12
+            local = _by_product_outcome(local_branches(s.amplitudes, sp)[0])
+            nonlocal_ = _by_product_outcome(nonlocal_branches(s.amplitudes, sp)[0])
+            for m in (+1, -1):
+                assert abs(local[m] - nonlocal_[m]) <= 1e-12
+                for strategy, sampled in ((LOCAL, local), (NONLOCAL, nonlocal_)):
+                    assert abs(sampled[m] - _born(s, povms[strategy][m])) <= 1e-12
 
 
 def test_sampling_soundness_hundred_thousand_trials():
     # binomial 4-sigma band around the Born probability, one seed family
     s = from_bell(BellCoefficients(0.6, 0.0, 0.0, 0.8))
     sp = spin_product("z", "z")
-    p_plus = outcome_probability(s, povm_family(NONLOCAL, sp)[0])
+    p_plus = _born(s, povm_family(NONLOCAL, sp)[+1])
     assert p_plus == pytest.approx(0.36, abs=1e-12)
     trials = 100_000
     plus = sum(
@@ -443,6 +454,9 @@ def test_measurement_record_invariants():
         assert (local.ebits_consumed, nonlocal_.ebits_consumed) == (0, 1)
     with pytest.raises(ValueError, match="strategy"):
         MeasurementRecord("S_zz", "psychic", (+1, -1))
+    for family in (meas_operator_family, povm_family):
+        with pytest.raises(ValueError, match="unknown strategy 'psychic'"):
+            family("psychic", spin_product("z", "z"))
 
 
 def test_same_seed_gives_identical_record_sequences():

@@ -1,7 +1,10 @@
 """State-vector core: construction, tensor products, gates, overlaps."""
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from bellsim.bellcore import BellCoefficients
 from bellsim.qstate import (
     CNOT,
     HADAMARD,
@@ -52,6 +55,26 @@ def test_make_state_accepts_extreme_scale(scale):
     s = make_state(np.array([1, 1j, 0, 0]) * scale)
     assert s.renormalized
     np.testing.assert_allclose(s.amplitudes, [SQ2, SQ2 * 1j, 0, 0], atol=1e-15)
+
+
+@given(
+    parts=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=8, max_size=8)
+    .filter(lambda parts: max(map(abs, parts)) >= 1e-3),
+    exponent=st.integers(min_value=-1074, max_value=1023),
+)
+@settings(max_examples=300, deadline=None)
+@example(parts=[1e-3, 0, 0, 0, 0, 0, 0, 0], exponent=-1064)
+@example(parts=[1, -1, 1, -1, 1, -1, 1, -1], exponent=1023)
+def test_make_state_is_scale_free(parts, exponent):
+    # a finite, non-zero 4-vector at any binary scale, from subnormal to huge
+    raw = np.ldexp(np.array(parts, dtype=float), exponent).view(complex)
+    assume((raw != 0).any())
+    s = make_state(raw)
+    # scaling back by the same power of two is exact, also for subnormals
+    direction = np.ldexp(raw.view(float), -exponent).view(complex)
+    np.testing.assert_allclose(s.amplitudes, direction / np.linalg.norm(direction), rtol=0, atol=1e-12)
+    assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= 1e-12
+    BellCoefficients(*s.amplitudes)
 
 
 def test_make_state_divides_by_norm_near_one():
