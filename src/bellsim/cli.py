@@ -28,9 +28,10 @@ from .bellcore import BellCoefficients, BellLabel, bell_state, from_bell, to_bel
 from .measure import RngStream
 from .protocols import (
     SCHEMES,
+    OutcomeTree,
     analytic_label_distribution,
     get_scheme,
-    iterate_runs,
+    iterate_runs,  # noqa: F401 -- perfbench/layers.py wraps it as a cli span
     outcome_distribution,
     trace_to_jsonl,
 )
@@ -110,15 +111,13 @@ def _chi_square(counts: dict, probs: np.ndarray, trials: int) -> float:
 
 
 def _run_trials(state, config: RunConfig):
-    """Sample all trials; track the worst filter fidelity for scheme_b."""
+    """Sample all trials; for scheme_b, the worst filter fidelity over the leaves reached."""
     if config.scheme != "scheme_b":
         return outcome_distribution(state, config.scheme, config.trials, config.seed), None
-    counts = {label: 0 for label in BellLabel}
-    worst = 1.0
-    for result in iterate_runs(state, "scheme_b", config.trials, config.seed):
-        counts[result.label] += 1
-        worst = min(worst, fidelity(result.post_state, bell_state(result.label)))
-    return counts, worst
+    tree = OutcomeTree(state, "scheme_b")
+    leaves = tree.sample(config.trials, config.seed)
+    worst = min(fidelity(post, bell_state(label)) for label, post in tree.reached(leaves))
+    return tree.label_counts(leaves), worst
 
 
 def _write_first_trial_trace(runner, state, config: RunConfig) -> None:

@@ -47,6 +47,7 @@ PROB_FLOOR = 1e-12
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_DRAW_SCALE = 2.0 ** -53  # a draw is the top 53 bits of a mix, scaled into [0, 1)
 
 
 def _mix64(x: int) -> int:
@@ -55,6 +56,21 @@ def _mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _mix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` in place on a ``uint64`` array (array arithmetic wraps without warning)."""
+    x ^= x >> 30
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> 27
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> 31
+    return x
+
+
+def keyed_uniforms(keys: np.ndarray, counter: int) -> np.ndarray:
+    """Draw ``counter`` (1-based) of the streams with these keys, as ``uniform()`` makes it."""
+    return (_mix64_array(keys + np.uint64(counter * _GOLDEN & _MASK64)) >> 11) * _DRAW_SCALE
 
 
 class RngStream:
@@ -83,12 +99,19 @@ class RngStream:
     def uniform(self) -> float:
         """Next uniform draw in [0, 1); advances the event counter."""
         self.counter += 1
-        return (_mix64(self._key + self.counter * _GOLDEN) >> 11) * 1.1102230246251565e-16
+        return (_mix64(self._key + self.counter * _GOLDEN) >> 11) * _DRAW_SCALE
 
     def substream(self, index: int) -> "RngStream":
         if not 0 <= index <= _MASK64:
             raise ValueError("substream index must be in [0, 2**64)")
         return RngStream(self.seed, self.path + (index,))
+
+    def substream_keys(self, start: int, stop: int) -> np.ndarray:
+        """Keys of ``substream(i)`` for i in [start, stop), a ``uint64`` array for :func:`keyed_uniforms`."""
+        keys = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        keys *= np.uint64(_GOLDEN)
+        keys += np.uint64(self._key)
+        return _mix64_array(keys)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, path={self.path}, counter={self.counter})"
@@ -108,6 +131,8 @@ class MeasurementRecord:
 
     def __post_init__(self) -> None:
         get_strategy(self.strategy)
+        if len(self.local_outcomes) != 2 or any(r not in (1, -1) for r in self.local_outcomes):
+            raise ValueError(f"readouts must be two of +1 and -1, got {self.local_outcomes!r}")
 
     @property
     def product_outcome(self) -> int:
@@ -168,6 +193,44 @@ def _choose_outcome(weights: np.ndarray, rng: RngStream) -> int:
     if weights[index] <= PROB_FLOOR:
         index = int(np.argmax(weights))
     return index
+
+
+class FloorRule(NamedTuple):
+    """:func:`_choose_outcome` on rows of Born weights, replayed on batches of draws.
+
+    Only one-dimensional array operations: numpy's broadcasting and
+    fancy-indexing machinery allocates more than the arrays themselves.
+    """
+
+    draws: np.ndarray  # (rows,) more than one live branch: the row takes a draw
+    cdf: np.ndarray  # (rows, k) running sums of the weights
+    dead: np.ndarray  # (rows, k) never kept: at or below PROB_FLOOR, or any pick of a drawless row
+    heaviest: np.ndarray  # (rows,) the argmax, which takes the place of a dead pick
+
+    @classmethod
+    def empty(cls, rows: int, k: int) -> "FloorRule":
+        """Rows that take branch 0 without a draw until :meth:`set_row` fills them."""
+        return cls(np.zeros(rows, bool), np.ones((rows, k)), np.ones((rows, k), bool), np.zeros(rows, np.intp))
+
+    def set_row(self, row: int, weights: np.ndarray) -> None:
+        dead = weights <= PROB_FLOOR
+        self.draws[row] = np.count_nonzero(~dead) > 1
+        self.cdf[row] = weights.cumsum()
+        self.dead[row] = dead | ~self.draws[row]
+        self.heaviest[row] = weights.argmax()
+
+    def pick(self, rows, u: np.ndarray) -> np.ndarray:
+        """The branch of row ``rows[k]`` that uniform ``u[k]`` selects; an int ``rows`` is one row for all."""
+        if isinstance(rows, int):
+            cdf = self.cdf[rows]
+            index = cdf.searchsorted(u * cdf[-1], side="right")
+        else:  # searchsorted(side="right") counts the running sums at or below the draw
+            x = u * self.cdf[:, -1].take(rows)
+            index = np.zeros(x.size, np.intp)
+            for column in self.cdf.T:
+                index += column.take(rows) <= x
+        np.copyto(index, self.heaviest.take(rows), where=self.dead.take(rows * self.dead.shape[1] + index))
+        return index
 
 
 def measure_local_pauli(s: StateVector, qubit: int, axis: str, rng: RngStream):

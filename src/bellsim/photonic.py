@@ -93,6 +93,8 @@ def build_photonic_run(s: StateVector, block_order=(REGISTER_A, REGISTER_B)) -> 
     """
     if s.n_qubits != 2:
         raise ValueError("expected a 2-qubit polarization state")
+    if len(block_order) != 2 or set(block_order) != {REGISTER_A, REGISTER_B}:
+        raise ValueError("block_order must be a permutation of (REGISTER_A, REGISTER_B)")
     amps = tensor(tensor(s, bell_state(BellLabel.PHI_PLUS)), computational_state("00")).amplitudes
     for reg in block_order:
         amps = _optical_block(amps, reg)

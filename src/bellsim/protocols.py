@@ -31,12 +31,19 @@ import numpy as np
 
 from .bellcore import BellLabel, classify, spin_product
 from .measure import (
+    LOCAL,
+    NONLOCAL,
+    STRATEGIES,
+    FloorRule,
     RngStream,
+    _z_branches,
+    keyed_uniforms,
     local_product_measurement,
     measure_local_pauli,
+    nonlocal_branches,
     nonlocal_product_measurement,
 )
-from .qstate import CNOT, HADAMARD, ID2, StateVector
+from .qstate import CNOT, HADAMARD, ID2, StateVector, _wrap
 from . import bellcore, photonic
 
 ALICE = "alice"
@@ -351,6 +358,58 @@ def locc_audit(trace) -> AuditReport:
     return AuditReport(not violations, tuple(violations), checked)
 
 
+# --- Outcome trees: the branches every untraced run of a scheme can take -------
+#
+# Every trial of a run starts from the same state, and a stage's post-state
+# depends only on the branch it took, so all trials walk one tree: a first
+# stage, then a second stage after each first-stage branch. A builder returns
+# (first-stage weights, child, labels): child(i) is (weights, post_of) of the
+# second stage after branch i (None when there is no second stage), and
+# labels[i, j] is the index of the Bell label that leaf (i, j) names.
+
+_SZZ, _SXX = spin_product("z", "z"), spin_product("x", "x")
+_LABELS = tuple(BellLabel)  # in index order
+
+
+# fig1 output index (bits z_a z_b) -> Bell label of the input
+_FIG1_INDEX_LABELS = (
+    BellLabel.PHI_PLUS,   # |++>
+    BellLabel.PSI_PLUS,   # |+->
+    BellLabel.PHI_MINUS,  # |-+>
+    BellLabel.PSI_MINUS,  # |-->
+)
+_FIG1_LABELS = np.array([label.index for label in _FIG1_INDEX_LABELS]).reshape(2, 2)
+_PRODUCTS = (1, -1, -1, 1)  # the S_ij outcome of readout index 2 * bit(z_A) + bit(z_B)
+_PRODUCT_LABELS = np.array([[classify(m, n).index for n in _PRODUCTS] for m in _PRODUCTS])
+
+
+def _fig1_tree(s: StateVector):
+    """fig1's two sigma_z readouts as the weights [w0, 1 - w0], after the circuit."""
+    w0, post_of = _z_branches(_H_ON_A @ (CNOT @ s.amplitudes), _SYSTEM_A)
+
+    def child(bit):
+        w1, post_of_b = _z_branches(post_of(bit), _SYSTEM_B)
+        return np.array([w1, 1.0 - w1]), post_of_b
+
+    return np.array([w0, 1.0 - w0]), child, _FIG1_LABELS
+
+
+def _spin_product_tree(second: str):
+    """Nonlocal S_zz, then S_xx by the ``second`` strategy: schemes (a) and (b)."""
+
+    def tree(s: StateVector):
+        weights, post_of = nonlocal_branches(s.amplitudes, _SZZ)
+        return weights, lambda i: STRATEGIES[second].branches(post_of(i), _SXX), _PRODUCT_LABELS
+
+    return tree
+
+
+def _photonic_tree(s: StateVector):
+    """One joint Born draw over the 64 detection events, as :func:`photonic.detect`."""
+    weights = np.abs(photonic.build_photonic_run(s).amplitudes) ** 2
+    return weights, None, photonic._LABEL_INDEX[:, None]
+
+
 # --- Scheme table and Monte Carlo / analytic distributions ---------------------
 
 
@@ -360,14 +419,15 @@ class Scheme(NamedTuple):
     ebits_per_run: int
     # traced protocol runner; None for the photonic model, which has no trace
     runner: Callable[..., ProtocolResult] | None
+    tree: Callable  # s -> (first-stage weights, child, labels), as above
 
 
 # The photonic run spends its path-entangled pair: the same one-ebit meter.
 SCHEMES = {
-    "fig1": Scheme(0, run_fig1),
-    "scheme_a": Scheme(1, run_scheme_a),
-    "scheme_b": Scheme(2, run_scheme_b),
-    "photonic": Scheme(1, None),
+    "fig1": Scheme(0, run_fig1, _fig1_tree),
+    "scheme_a": Scheme(1, run_scheme_a, _spin_product_tree(LOCAL)),
+    "scheme_b": Scheme(2, run_scheme_b, _spin_product_tree(NONLOCAL)),
+    "photonic": Scheme(1, None, _photonic_tree),
 }
 
 
@@ -383,7 +443,8 @@ def iterate_runs(s: StateVector, scheme: str, trials: int, seed: int):
     """Yield untraced results for ``trials`` independent runs of a scheme.
 
     Trial t uses the RNG substream (seed, t), so runs are reproducible and
-    may be re-executed or sharded in any order.
+    may be re-executed or sharded in any order. This is the per-trial
+    reference that :class:`OutcomeTree` reproduces in batches.
     """
     runner = get_scheme(scheme).runner
     if runner is None:
@@ -393,21 +454,76 @@ def iterate_runs(s: StateVector, scheme: str, trials: int, seed: int):
         yield runner(s, root.substream(t), record_trace=False)
 
 
+# Trials per batch of OutcomeTree.sample. Larger batches run faster but raise
+# the heap peak of every sampled run; 64 already lifts `bellsim verify`'s.
+TREE_CHUNK = 32
+
+
+class OutcomeTree:
+    """Batched Monte Carlo of untraced runs, bit-identical to the runners.
+
+    Trial t replays what the runner draws on ``RngStream(seed).substream(t)``:
+    draw 1 for the first stage, draw 1 + (draws the first stage took) for
+    the second, none for a stage with one live branch (:class:`FloorRule`).
+    A second stage's weights are built when a trial first reaches them.
+    """
+
+    def __init__(self, s: StateVector, scheme: str):
+        tree = get_scheme(scheme).tree
+        _require_two_qubits(s)
+        weights, self._child, self.labels = tree(s)
+        self._first = FloorRule.empty(1, weights.size)
+        self._first.set_row(0, weights)
+        if self._child:
+            self._second = FloorRule.empty(*self.labels.shape)
+            self._posts = [None] * len(self.labels)  # post_of of each second stage built
+            self._unbuilt = {int(self._first.heaviest[0]), *np.flatnonzero(~self._first.dead[0]).tolist()}
+
+    def sample(self, trials: int, seed: int) -> np.ndarray:
+        """Leaf histogram of ``trials`` runs; trial t draws from ``RngStream(seed).substream(t)``."""
+        root, first_draws = RngStream(seed), bool(self._first.draws[0])
+        leaves = np.zeros(self.labels.size, dtype=np.int64)
+        for start in range(0, trials, TREE_CHUNK):
+            stop = min(start + TREE_CHUNK, trials)
+            if first_draws:
+                keys = root.substream_keys(start, stop)
+                leaf = self._first.pick(0, keyed_uniforms(keys, 1))
+            else:
+                keys, leaf = None, np.full(stop - start, self._first.heaviest[0])
+            if self._child:
+                if self._unbuilt:
+                    hit = np.bincount(leaf, minlength=len(self.labels))
+                    for i in [i for i in self._unbuilt if hit[i]]:
+                        weights, self._posts[i] = self._child(i)
+                        self._second.set_row(i, weights)
+                        self._unbuilt.discard(i)
+                rule = self._second
+                if rule.draws.take(leaf).any():
+                    keys = root.substream_keys(start, stop) if keys is None else keys
+                    second = rule.pick(leaf, keyed_uniforms(keys, 1 + first_draws))
+                else:
+                    second = rule.heaviest.take(leaf)
+                leaf = leaf * self.labels.shape[1] + second
+            leaves += np.bincount(leaf, minlength=leaves.size)
+        return leaves.reshape(self.labels.shape)
+
+    def label_counts(self, leaves: np.ndarray) -> dict:
+        """Histogram over the four Bell labels of a leaf histogram."""
+        totals = np.bincount(self.labels.ravel(), leaves.ravel(), len(_LABELS))
+        return {label: int(total) for label, total in zip(_LABELS, totals)}
+
+    def reached(self, leaves: np.ndarray):
+        """Yield (label, post-state) of every two-stage leaf that a trial reached."""
+        for i, j in zip(*np.nonzero(leaves)):
+            yield _LABELS[self.labels[i, j]], _wrap(2, self._posts[i](int(j)))
+
+
 def outcome_distribution(s: StateVector, scheme: str, trials: int, seed: int) -> dict:
     """Histogram over the four Bell labels from ``trials`` sampled runs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    counts = {label: 0 for label in BellLabel}
-    if get_scheme(scheme).runner is None:
-        final = photonic.build_photonic_run(s)
-        root = RngStream(seed)
-        for t in range(trials):
-            ports = photonic.detect(final, root.substream(t))
-            counts[photonic.photonic_label(ports)] += 1
-    else:
-        for result in iterate_runs(s, scheme, trials, seed):
-            counts[result.label] += 1
-    return counts
+    tree = OutcomeTree(s, scheme)
+    return tree.label_counts(tree.sample(trials, seed))
 
 
 def fig1_unitary() -> np.ndarray:
@@ -439,15 +555,6 @@ def scheme_b_measurement_operators() -> dict[tuple[int, int], np.ndarray]:
         for m in (+1, -1)
         for n in (+1, -1)
     }
-
-
-# fig1 output index (bits z_a z_b) -> Bell label of the input
-_FIG1_INDEX_LABELS = (
-    BellLabel.PHI_PLUS,   # |++>
-    BellLabel.PSI_PLUS,   # |+->
-    BellLabel.PHI_MINUS,  # |-+>
-    BellLabel.PSI_MINUS,  # |-->
-)
 
 
 def analytic_label_distribution(s: StateVector, scheme: str) -> np.ndarray:

@@ -454,6 +454,9 @@ def test_measurement_record_invariants():
         assert (local.ebits_consumed, nonlocal_.ebits_consumed) == (0, 1)
     with pytest.raises(ValueError, match="strategy"):
         MeasurementRecord("S_zz", "psychic", (+1, -1))
+    for readouts in ((0, 5), (1, 0), (-1, 2), (1,), (1, -1, 1)):
+        with pytest.raises(ValueError, match="readouts"):
+            MeasurementRecord("S_zz", LOCAL, readouts)
     for family in (meas_operator_family, povm_family):
         with pytest.raises(ValueError, match="unknown strategy 'psychic'"):
             family("psychic", spin_product("z", "z"))

@@ -149,6 +149,15 @@ def test_optical_block_order_is_irrelevant():
         np.testing.assert_allclose(ab.amplitudes, ba.amplitudes, atol=1e-12)
 
 
+@pytest.mark.parametrize("order", [
+    (), (REGISTER_A,), (REGISTER_A, REGISTER_A), (REGISTER_B, REGISTER_B),
+    (REGISTER_A, REGISTER_B, REGISTER_A), ("A", "B"),
+])
+def test_block_order_must_be_a_permutation_of_both_registers(order):
+    with pytest.raises(ValueError, match="permutation"):
+        build_photonic_run(bell_state(BellLabel.PHI_PLUS), block_order=order)
+
+
 def test_detect_requires_photonic_register():
     with pytest.raises(ValueError, match="6-qubit"):
         detect(bell_state(BellLabel.PHI_PLUS), RngStream(1))
