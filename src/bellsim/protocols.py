@@ -40,7 +40,6 @@ from .measure import (
     keyed_uniforms,
     local_product_measurement,
     measure_local_pauli,
-    nonlocal_branches,
     nonlocal_product_measurement,
 )
 from .qstate import CNOT, HADAMARD, ID2, StateVector, _wrap
@@ -394,11 +393,11 @@ def _fig1_tree(s: StateVector):
     return np.array([w0, 1.0 - w0]), child, _FIG1_LABELS
 
 
-def _spin_product_tree(second: str):
-    """Nonlocal S_zz, then S_xx by the ``second`` strategy: schemes (a) and (b)."""
+def _spin_product_tree(first: str, second: str):
+    """S_zz by the ``first`` strategy, then S_xx by the ``second``; schemes (a) and (b) start nonlocal."""
 
     def tree(s: StateVector):
-        weights, post_of = nonlocal_branches(s.amplitudes, _SZZ)
+        weights, post_of = STRATEGIES[first].branches(s.amplitudes, _SZZ)
         return weights, lambda i: STRATEGIES[second].branches(post_of(i), _SXX), _PRODUCT_LABELS
 
     return tree
@@ -425,8 +424,8 @@ class Scheme(NamedTuple):
 # The photonic run spends its path-entangled pair: the same one-ebit meter.
 SCHEMES = {
     "fig1": Scheme(0, run_fig1, _fig1_tree),
-    "scheme_a": Scheme(1, run_scheme_a, _spin_product_tree(LOCAL)),
-    "scheme_b": Scheme(2, run_scheme_b, _spin_product_tree(NONLOCAL)),
+    "scheme_a": Scheme(1, run_scheme_a, _spin_product_tree(NONLOCAL, LOCAL)),
+    "scheme_b": Scheme(2, run_scheme_b, _spin_product_tree(NONLOCAL, NONLOCAL)),
     "photonic": Scheme(1, None, _photonic_tree),
 }
 
@@ -466,12 +465,12 @@ class OutcomeTree:
     draw 1 for the first stage, draw 1 + (draws the first stage took) for
     the second, none for a stage with one live branch (:class:`FloorRule`).
     A second stage's weights are built when a trial first reaches them.
+    ``build`` is a tree builder of the shape above, such as a scheme's ``tree``.
     """
 
-    def __init__(self, s: StateVector, scheme: str):
-        tree = get_scheme(scheme).tree
+    def __init__(self, s: StateVector, build: Callable):
         _require_two_qubits(s)
-        weights, self._child, self.labels = tree(s)
+        weights, self._child, self.labels = build(s)
         self._first = FloorRule.empty(1, weights.size)
         self._first.set_row(0, weights)
         if self._child:
@@ -513,16 +512,16 @@ class OutcomeTree:
         return {label: int(total) for label, total in zip(_LABELS, totals)}
 
     def reached(self, leaves: np.ndarray):
-        """Yield (label, post-state) of every two-stage leaf that a trial reached."""
+        """Yield (leaf, label, post-state) of every two-stage leaf that a trial reached."""
         for i, j in zip(*np.nonzero(leaves)):
-            yield _LABELS[self.labels[i, j]], _wrap(2, self._posts[i](int(j)))
+            yield (int(i), int(j)), _LABELS[self.labels[i, j]], _wrap(2, self._posts[i](int(j)))
 
 
 def outcome_distribution(s: StateVector, scheme: str, trials: int, seed: int) -> dict:
     """Histogram over the four Bell labels from ``trials`` sampled runs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tree = OutcomeTree(s, scheme)
+    tree = OutcomeTree(s, get_scheme(scheme).tree)
     return tree.label_counts(tree.sample(trials, seed))
 
 

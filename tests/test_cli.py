@@ -322,6 +322,20 @@ def test_emit_trace_writes_jsonl(capsys, tmp_path):
         assert {"step", "party", "op", "qubits"} <= set(event)
 
 
+@pytest.mark.parametrize("where", ["missing/t.jsonl", "."])
+def test_emit_trace_unwritable_path_exits_two_before_sampling(capsys, monkeypatch, tmp_path, where):
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("sampled before the trace path was checked")
+
+    monkeypatch.setattr(cli, "_run_trials", must_not_sample)
+    code, out, err = run_cli(
+        capsys, "run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", "3",
+        "--emit-trace", str(tmp_path / where),
+    )
+    assert code == 2
+    assert out == "" and "emit-trace" in err and "not writable" in err
+
+
 def test_emit_trace_unsupported_for_photonic(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "run", "--scheme", "photonic", "--state", "PhiPlus", "--trials", "5",

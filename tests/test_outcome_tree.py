@@ -10,9 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim import cli, photonic
-from bellsim.bellcore import BellCoefficients, BellLabel, bell_state, from_bell
-from bellsim.measure import PROB_FLOOR, FloorRule, RngStream, _choose_outcome, keyed_uniforms
-from bellsim.protocols import SCHEMES, TREE_CHUNK, OutcomeTree, iterate_runs, outcome_distribution
+from bellsim.bellcore import BellCoefficients, BellLabel, bell_state, classify, from_bell, spin_product
+from bellsim.measure import (
+    LOCAL,
+    PROB_FLOOR,
+    FloorRule,
+    RngStream,
+    _choose_outcome,
+    keyed_uniforms,
+    local_product_measurement,
+)
+from bellsim.protocols import SCHEMES, TREE_CHUNK, OutcomeTree, _spin_product_tree, iterate_runs, outcome_distribution
 from bellsim.qstate import fidelity, haar_random_state, make_state
 
 SEEDS = st.one_of(st.sampled_from([0, 7, 2**64 - 1]), st.integers(min_value=0, max_value=2**64 - 1))
@@ -135,10 +143,26 @@ def test_floor_rule_replays_choose_outcome(weights, extra):
     assert draws <= {int(one_row.draws[0])} and rows.draws.tolist() == [False, one_row.draws[0], False]
 
 
+@given(s=STATES, trials=TRIALS, seed=SEEDS)
+@settings(max_examples=100, deadline=None)
+@example(s=bell_state(BellLabel.PHI_PLUS), trials=TREE_CHUNK + 1, seed=407)
+def test_local_local_tree_matches_two_local_measurements(s, trials, seed):
+    """The (LOCAL, LOCAL) builder, which no runner replays: local S_zz, then local S_xx, per trial."""
+    szz, sxx = spin_product("z", "z"), spin_product("x", "x")
+    counts = {label: 0 for label in BellLabel}
+    for t in range(trials):
+        rng = RngStream(seed).substream(t)
+        first, mid = local_product_measurement(s, szz, rng)
+        second, _ = local_product_measurement(mid, sxx, rng)
+        counts[classify(first.product_outcome, second.product_outcome)] += 1
+    tree = OutcomeTree(s, _spin_product_tree(LOCAL, LOCAL))
+    assert tree.label_counts(tree.sample(trials, seed)) == counts
+
+
 def test_outcome_tree_rejects_what_the_runners_reject():
     with pytest.raises(ValueError, match="unknown scheme"):
-        OutcomeTree(bell_state(BellLabel.PHI_PLUS), "scheme_c")
+        outcome_distribution(bell_state(BellLabel.PHI_PLUS), "scheme_c", 1, 0)
     with pytest.raises(ValueError, match="2-qubit"):
-        OutcomeTree(make_state([1.0] + [0.0] * 7), "scheme_a")
+        OutcomeTree(make_state([1.0] + [0.0] * 7), SCHEMES["scheme_a"].tree)
     with pytest.raises(ValueError, match="seed"):
-        OutcomeTree(bell_state(BellLabel.PHI_PLUS), "photonic").sample(1, 2**64)
+        OutcomeTree(bell_state(BellLabel.PHI_PLUS), SCHEMES["photonic"].tree).sample(1, 2**64)
