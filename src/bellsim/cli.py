@@ -111,10 +111,11 @@ def _chi_square(counts: dict, probs: np.ndarray, trials: int) -> float:
 
 
 def _run_trials(state, config: RunConfig):
-    """Sample all trials; for scheme_b, the worst filter fidelity over the leaves reached."""
-    if config.scheme != "scheme_b":
+    """Sample all trials; for a Bell filter, the worst filter fidelity over the leaves reached."""
+    scheme = get_scheme(config.scheme)
+    if not scheme.filters:
         return outcome_distribution(state, config.scheme, config.trials, config.seed), None
-    tree = OutcomeTree(state, get_scheme("scheme_b").tree)
+    tree = OutcomeTree(state, scheme.tree)
     leaves = tree.sample(config.trials, config.seed)
     worst = min(fidelity(post, bell_state(label)) for _, label, post in tree.reached(leaves))
     return tree.label_counts(leaves), worst
@@ -123,7 +124,7 @@ def _run_trials(state, config: RunConfig):
 def _writable(path: str) -> bool:
     """Whether ``path`` can take the trace: a writable file, or a new name in a writable directory."""
     target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
-    return not os.path.isdir(path) and os.access(target, os.W_OK)
+    return path != "" and not os.path.isdir(path) and os.access(target, os.W_OK)
 
 
 def _write_first_trial_trace(runner, state, config: RunConfig) -> None:
@@ -170,10 +171,10 @@ def cmd_run(config: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.emit_trace and scheme.runner is None:
+    if config.emit_trace is not None and scheme.runner is None:
         print("error: --emit-trace is only available for the protocol schemes", file=sys.stderr)
         return 2
-    if config.emit_trace and not _writable(config.emit_trace):
+    if config.emit_trace is not None and not _writable(config.emit_trace):
         print(f"error: --emit-trace path is not writable: {config.emit_trace}", file=sys.stderr)
         return 2
     try:

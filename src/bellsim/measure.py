@@ -147,34 +147,27 @@ class MeasurementRecord:
 
 
 def _z_branches(amps: np.ndarray, qubit: int):
-    """(w0, post_of) of a sigma_z readout of ``qubit`` on a flat amplitude array.
+    """(weights, post_of) of a sigma_z readout of ``qubit`` on a flat amplitude array.
 
-    w0 is the Born weight of readout +1; post_of(bit) is the collapsed,
-    renormalized array (bit 0 for +1). Views the array as (pre, 2, post).
+    ``weights`` are [w0, 1 - w0], w0 the Born weight of readout +1;
+    post_of(bit) is the collapsed, renormalized array (bit 0 for +1). Views
+    the array as (pre, 2, post).
     """
     view = amps.reshape(1 << qubit, 2, -1)
     branch0 = view[:, 0, :]
     w0 = float(np.vdot(branch0, branch0).real)
+    weights = np.array([w0, 1.0 - w0])
 
     def post_of(bit: int) -> np.ndarray:
         post = np.zeros_like(amps)
         np.multiply(
             view[:, bit, :],
-            1.0 / np.sqrt(w0 if bit == 0 else 1.0 - w0),
+            1.0 / np.sqrt(weights[bit]),
             out=post.reshape(1 << qubit, 2, -1)[:, bit, :],
         )
         return post
 
-    return w0, post_of
-
-
-def _choose_bit(w0: float, rng: RngStream) -> int:
-    """:func:`_choose_outcome` on (w0, 1 - w0): w0 + fl(1 - w0) == 1, so u < w0."""
-    if w0 <= PROB_FLOOR:
-        return 1
-    if 1.0 - w0 <= PROB_FLOOR:
-        return 0
-    return 0 if rng.uniform() < w0 else 1
+    return weights, post_of
 
 
 def _choose_outcome(weights: np.ndarray, rng: RngStream) -> int:
@@ -247,8 +240,8 @@ def measure_local_pauli(s: StateVector, qubit: int, axis: str, rng: RngStream):
     amps = s.amplitudes
     if axis != "z":
         amps = _apply_matrix(amps, s.n_qubits, u, [qubit])
-    w0, post_of = _z_branches(amps, qubit)
-    bit = _choose_bit(w0, rng)
+    weights, post_of = _z_branches(amps, qubit)
+    bit = _choose_outcome(weights, rng)
     amps = post_of(bit)
     if axis != "z":
         amps = _apply_matrix(amps, s.n_qubits, u.conj().T, [qubit])

@@ -370,27 +370,19 @@ _SZZ, _SXX = spin_product("z", "z"), spin_product("x", "x")
 _LABELS = tuple(BellLabel)  # in index order
 
 
-# fig1 output index (bits z_a z_b) -> Bell label of the input
-_FIG1_INDEX_LABELS = (
-    BellLabel.PHI_PLUS,   # |++>
-    BellLabel.PSI_PLUS,   # |+->
-    BellLabel.PHI_MINUS,  # |-+>
-    BellLabel.PSI_MINUS,  # |-->
-)
-_FIG1_LABELS = np.array([label.index for label in _FIG1_INDEX_LABELS]).reshape(2, 2)
+# fig1 output bits [z_a][z_b] -> Bell label of the input
+_FIG1_LABELS = np.array([
+    [BellLabel.PHI_PLUS.index, BellLabel.PSI_PLUS.index],    # |++>, |+->
+    [BellLabel.PHI_MINUS.index, BellLabel.PSI_MINUS.index],  # |-+>, |-->
+])
 _PRODUCTS = (1, -1, -1, 1)  # the S_ij outcome of readout index 2 * bit(z_A) + bit(z_B)
 _PRODUCT_LABELS = np.array([[classify(m, n).index for n in _PRODUCTS] for m in _PRODUCTS])
 
 
 def _fig1_tree(s: StateVector):
-    """fig1's two sigma_z readouts as the weights [w0, 1 - w0], after the circuit."""
-    w0, post_of = _z_branches(_H_ON_A @ (CNOT @ s.amplitudes), _SYSTEM_A)
-
-    def child(bit):
-        w1, post_of_b = _z_branches(post_of(bit), _SYSTEM_B)
-        return np.array([w1, 1.0 - w1]), post_of_b
-
-    return np.array([w0, 1.0 - w0]), child, _FIG1_LABELS
+    """fig1's two sigma_z readouts, after the circuit."""
+    weights, post_of = _z_branches(_H_ON_A @ (CNOT @ s.amplitudes), _SYSTEM_A)
+    return weights, lambda bit: _z_branches(post_of(bit), _SYSTEM_B), _FIG1_LABELS
 
 
 def _spin_product_tree(first: str, second: str):
@@ -409,7 +401,67 @@ def _photonic_tree(s: StateVector):
     return weights, None, photonic._LABEL_INDEX[:, None]
 
 
-# --- Scheme table and Monte Carlo / analytic distributions ---------------------
+# --- Analytic routes: each scheme's label probabilities along its own algebra ---
+
+
+def fig1_unitary() -> np.ndarray:
+    """The full fig1 circuit matrix: Hadamard on Alice's wire after a CNOT."""
+    return _H_ON_A @ CNOT
+
+
+def scheme_a_povm() -> dict[tuple[int, int], np.ndarray]:
+    """The four analytic POVM elements E_mn of scheme (a), composed honestly.
+
+    E_mn = M_m^dag E_n M_m with M_m the S_zz eigenprojector (first stage
+    Kraus) and E_n the S_xx POVM element (second stage). Each equals the
+    rank-1 projector onto the Bell state classify(m, n).
+    """
+    return {
+        (m, n): _SZZ.projector(m).conj().T @ _SXX.projector(n) @ _SZZ.projector(m)
+        for m in (+1, -1)
+        for n in (+1, -1)
+    }
+
+
+def scheme_b_measurement_operators() -> dict[tuple[int, int], np.ndarray]:
+    """The composed measurement operators M_mn of the Bell filter."""
+    return {
+        (m, n): _SXX.projector(n) @ _SZZ.projector(m)
+        for m in (+1, -1)
+        for n in (+1, -1)
+    }
+
+
+def _by_label(family: dict) -> np.ndarray:
+    """A {(m, n): operator} family stacked in label order, read-only."""
+    stacked = np.array([family[bellcore.outcome_pair(label)] for label in _LABELS])
+    stacked.setflags(write=False)
+    return stacked
+
+
+# None of these depends on the state, so each is built once.
+_FIG1_UNITARY = fig1_unitary()
+_FIG1_UNITARY.setflags(write=False)
+_SCHEME_A_POVM = _by_label(scheme_a_povm())
+_SCHEME_B_OPS = _by_label(scheme_b_measurement_operators())
+
+
+def _fig1_analytic(s: StateVector) -> np.ndarray:
+    """The circuit matrix's output weights, summed onto the labels they name."""
+    return np.bincount(_FIG1_LABELS.ravel(), np.abs(_FIG1_UNITARY @ s.amplitudes) ** 2, len(_LABELS))
+
+
+def _scheme_a_analytic(s: StateVector) -> np.ndarray:
+    """<s| E_mn |s> over the composed POVM."""
+    return np.array([np.vdot(s.amplitudes, element @ s.amplitudes).real for element in _SCHEME_A_POVM])
+
+
+def _scheme_b_analytic(s: StateVector) -> np.ndarray:
+    """||M_mn s||^2 over the filter's composed measurement operators."""
+    return np.array([float(np.linalg.norm(op @ s.amplitudes) ** 2) for op in _SCHEME_B_OPS])
+
+
+# --- Scheme table and the distributions it routes ------------------------------
 
 
 class Scheme(NamedTuple):
@@ -419,14 +471,17 @@ class Scheme(NamedTuple):
     # traced protocol runner; None for the photonic model, which has no trace
     runner: Callable[..., ProtocolResult] | None
     tree: Callable  # s -> (first-stage weights, child, labels), as above
+    analytic: Callable  # s -> label probabilities in label order, along the route's own algebra
+    # a Bell filter: the post-state is the labelled Bell state, so a run reports its fidelity
+    filters: bool
 
 
 # The photonic run spends its path-entangled pair: the same one-ebit meter.
 SCHEMES = {
-    "fig1": Scheme(0, run_fig1, _fig1_tree),
-    "scheme_a": Scheme(1, run_scheme_a, _spin_product_tree(NONLOCAL, LOCAL)),
-    "scheme_b": Scheme(2, run_scheme_b, _spin_product_tree(NONLOCAL, NONLOCAL)),
-    "photonic": Scheme(1, None, _photonic_tree),
+    "fig1": Scheme(0, run_fig1, _fig1_tree, _fig1_analytic, False),
+    "scheme_a": Scheme(1, run_scheme_a, _spin_product_tree(NONLOCAL, LOCAL), _scheme_a_analytic, False),
+    "scheme_b": Scheme(2, run_scheme_b, _spin_product_tree(NONLOCAL, NONLOCAL), _scheme_b_analytic, True),
+    "photonic": Scheme(1, None, _photonic_tree, photonic.label_distribution, False),
 }
 
 
@@ -525,67 +580,7 @@ def outcome_distribution(s: StateVector, scheme: str, trials: int, seed: int) ->
     return tree.label_counts(tree.sample(trials, seed))
 
 
-def fig1_unitary() -> np.ndarray:
-    """The full fig1 circuit matrix: Hadamard on Alice's wire after a CNOT."""
-    return _H_ON_A @ CNOT
-
-
-def scheme_a_povm() -> dict[tuple[int, int], np.ndarray]:
-    """The four analytic POVM elements E_mn of scheme (a), composed honestly.
-
-    E_mn = M_m^dag E_n M_m with M_m the S_zz eigenprojector (first stage
-    Kraus) and E_n the S_xx POVM element (second stage). Each equals the
-    rank-1 projector onto the Bell state classify(m, n).
-    """
-    szz, sxx = spin_product("z", "z"), spin_product("x", "x")
-    out = {}
-    for m in (+1, -1):
-        for n in (+1, -1):
-            k = szz.projector(m)
-            out[(m, n)] = k.conj().T @ sxx.projector(n) @ k
-    return out
-
-
-def scheme_b_measurement_operators() -> dict[tuple[int, int], np.ndarray]:
-    """The composed measurement operators M_mn of the Bell filter."""
-    szz, sxx = spin_product("z", "z"), spin_product("x", "x")
-    return {
-        (m, n): sxx.projector(n) @ szz.projector(m)
-        for m in (+1, -1)
-        for n in (+1, -1)
-    }
-
-
 def analytic_label_distribution(s: StateVector, scheme: str) -> np.ndarray:
-    """Exact label probabilities (order Phi+, Phi-, Psi+, Psi-) for a scheme.
-
-    Computed along each scheme's own route: the circuit matrix for fig1, the
-    composed POVM for scheme (a), the composed measurement operators for
-    scheme (b), and path-readout marginals for the photonic model.
-    """
+    """Exact label probabilities (order Phi+, Phi-, Psi+, Psi-), along the scheme's own route."""
     _require_two_qubits(s)
-    if scheme == "fig1":
-        probs_by_index = np.abs(fig1_unitary() @ s.amplitudes) ** 2
-        out = np.zeros(4)
-        for index, label in enumerate(_FIG1_INDEX_LABELS):
-            out[label.index] = probs_by_index[index]
-        return out
-    if scheme == "scheme_a":
-        povm = scheme_a_povm()
-        return np.array(
-            [
-                np.vdot(s.amplitudes, povm[bellcore.outcome_pair(label)] @ s.amplitudes).real
-                for label in BellLabel
-            ]
-        )
-    if scheme == "scheme_b":
-        ops = scheme_b_measurement_operators()
-        return np.array(
-            [
-                float(np.linalg.norm(ops[bellcore.outcome_pair(label)] @ s.amplitudes) ** 2)
-                for label in BellLabel
-            ]
-        )
-    if scheme == "photonic":
-        return photonic.label_distribution(s)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return get_scheme(scheme).analytic(s)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import bellsim.cli as cli
 import bellsim.verify as verify
 from bellsim.cli import main, resolve_state
+from bellsim.protocols import SCHEMES
 from bellsim.qstate import states_equal
 
 
@@ -248,7 +249,7 @@ REPORT_SCHEMA = {
 }
 
 
-@pytest.mark.parametrize("scheme", ["fig1", "scheme_a", "scheme_b", "photonic"])
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_json_report_validates_against_schema(capsys, scheme):
     import jsonschema
 
@@ -256,7 +257,10 @@ def test_json_report_validates_against_schema(capsys, scheme):
         capsys, "run", "--scheme", scheme, "--state", "random", "--trials", "50", "--seed", "8"
     )
     assert code == 0
-    jsonschema.validate(report_of(out), REPORT_SCHEMA)
+    report = report_of(out)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    # only a Bell filter's post-state is a Bell state whose fidelity means anything
+    assert ("fidelity" in report) == SCHEMES[scheme].filters
 
 
 def test_csv_output_schema(capsys):
@@ -322,7 +326,7 @@ def test_emit_trace_writes_jsonl(capsys, tmp_path):
         assert {"step", "party", "op", "qubits"} <= set(event)
 
 
-@pytest.mark.parametrize("where", ["missing/t.jsonl", "."])
+@pytest.mark.parametrize("where", ["missing/t.jsonl", ".", ""])
 def test_emit_trace_unwritable_path_exits_two_before_sampling(capsys, monkeypatch, tmp_path, where):
     def must_not_sample(*args, **kwargs):
         raise AssertionError("sampled before the trace path was checked")
@@ -330,7 +334,7 @@ def test_emit_trace_unwritable_path_exits_two_before_sampling(capsys, monkeypatc
     monkeypatch.setattr(cli, "_run_trials", must_not_sample)
     code, out, err = run_cli(
         capsys, "run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", "3",
-        "--emit-trace", str(tmp_path / where),
+        "--emit-trace", where and str(tmp_path / where),  # "" stays the empty path
     )
     assert code == 2
     assert out == "" and "emit-trace" in err and "not writable" in err

@@ -14,7 +14,6 @@ from bellsim.measure import (
     PROB_FLOOR,
     RngStream,
     _INJECT_PHI_PLUS,
-    _choose_bit,
     _choose_outcome,
     local_branches,
     local_product_measurement,
@@ -105,20 +104,6 @@ def test_choose_outcome_floor_rule(weights, seed):
     else:
         assert rng.counter == 1
         assert weights[index] > PROB_FLOOR
-
-
-@given(
-    w0=st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from(
-        [PROB_FLOOR, np.nextafter(PROB_FLOOR, 0), np.nextafter(PROB_FLOOR, 1),
-         1 - PROB_FLOOR, np.nextafter(1 - PROB_FLOOR, 0), np.nextafter(1 - PROB_FLOOR, 2)])),
-    seed=st.integers(min_value=0, max_value=2**64 - 1),
-)
-@settings(max_examples=300, deadline=None)
-def test_choose_bit_is_choose_outcome_on_two_weights(w0, seed):
-    scalar, vector = RngStream(seed), RngStream(seed)
-    assert _choose_bit(w0, scalar) == _choose_outcome(np.array([w0, 1.0 - w0]), vector)
-    assert scalar.counter == vector.counter
-
 
 
 # --- single-site Pauli measurement ------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bellsim.bellcore import BellCoefficients, BellLabel, bell_state, from_bell, outcome_pair, to_bell
-from bellsim import photonic
+from bellsim import photonic, protocols
 from bellsim.measure import RngStream
 from bellsim.protocols import (
     AuditReport,
@@ -157,10 +157,21 @@ def test_all_schemes_share_one_label_distribution():
     for _ in range(500):
         s = haar_random_state(2, rng)
         reference = to_bell(s).probabilities()
-        for scheme in ("fig1", "scheme_a", "scheme_b"):
+        for scheme in SCHEMES:
             np.testing.assert_allclose(
                 analytic_label_distribution(s, scheme), reference, atol=1e-12
             )
+
+
+def test_analytic_routes_do_not_rebuild_their_operators(monkeypatch):
+    def rebuilt():
+        raise AssertionError("operator rebuilt per call")
+
+    for builder in ("fig1_unitary", "scheme_a_povm", "scheme_b_measurement_operators"):
+        monkeypatch.setattr(protocols, builder, rebuilt)
+    s = haar_random_state(2, np.random.default_rng(68))
+    for scheme in SCHEMES:
+        np.testing.assert_allclose(analytic_label_distribution(s, scheme), to_bell(s).probabilities(), atol=1e-12)
 
 
 # --- LOCC audit --------------------------------------------------------------------
