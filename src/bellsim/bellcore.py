@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -133,26 +134,25 @@ class SpinProduct:
         raise ValueError("outcome must be +1 or -1")
 
 
-_SPIN_PRODUCTS: dict[tuple[str, str], SpinProduct] = {}
+def _spin_product(i: str, j: str) -> SpinProduct:
+    matrix = np.kron(PAULIS[i], PAULIS[j])
+    eye = np.eye(4, dtype=complex)
+    arrays = (matrix, (eye + matrix) / 2, (eye - matrix) / 2)  # S_ij and its two eigenprojectors
+    for arr in arrays:
+        arr.setflags(write=False)
+    return SpinProduct(i, j, *arrays)
+
+
+# the nine spin products, built once at import
+_SPIN_PRODUCTS = MappingProxyType({(i, j): _spin_product(i, j) for i in PAULIS for j in PAULIS})
 
 
 def spin_product(i: str, j: str) -> SpinProduct:
-    """The spin product S_ij for axes i, j in {'x', 'y', 'z'} (cached)."""
-    key = (i, j)
-    cached = _SPIN_PRODUCTS.get(key)
-    if cached is not None:
-        return cached
-    if i not in PAULIS or j not in PAULIS:
-        raise ValueError(f"unknown axis pair ({i!r}, {j!r})")
-    matrix = np.kron(PAULIS[i], PAULIS[j])
-    eye = np.eye(4, dtype=complex)
-    plus = (eye + matrix) / 2
-    minus = (eye - matrix) / 2
-    for arr in (matrix, plus, minus):
-        arr.setflags(write=False)
-    sp = SpinProduct(i, j, matrix, plus, minus)
-    _SPIN_PRODUCTS[key] = sp
-    return sp
+    """The spin product S_ij for axes i, j in {'x', 'y', 'z'}."""
+    try:
+        return _SPIN_PRODUCTS[i, j]
+    except KeyError:
+        raise ValueError(f"unknown axis pair ({i!r}, {j!r})") from None
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -97,7 +97,8 @@ def _format_complex(value: complex) -> str:
     return f"{value.real:.12g}{value.imag:+.12g}i"
 
 
-def _chi_square(counts: dict, probs: np.ndarray, trials: int) -> float:
+def _chi_square(counts: dict, probs: np.ndarray, trials: int) -> float | None:
+    """Pearson's statistic; None (unbounded) once a label of probability <= 1e-15 is observed."""
     stat = 0.0
     for label in BellLabel:
         p = float(probs[label.index])
@@ -106,7 +107,7 @@ def _chi_square(counts: dict, probs: np.ndarray, trials: int) -> float:
             expected = trials * p
             stat += (observed - expected) ** 2 / expected
         elif observed:
-            return float("inf")
+            return None
     return stat
 
 
@@ -147,7 +148,7 @@ def _flatten(prefix: str, value, rows: list) -> None:
 
 def _emit_report(report: dict, output: str) -> None:
     if output == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
         return
     rows: list = []
     _flatten("", report, rows)

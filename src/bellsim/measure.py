@@ -24,6 +24,7 @@ splittable stream, so every run is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -268,21 +269,24 @@ _INJECT_PHI_PLUS = _coupled_injection()
 _COMPUTATIONAL_COLUMNS = np.eye(4, dtype=complex)
 _COMPUTATIONAL_COLUMNS.setflags(write=False)
 
-_ROTATIONS: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+
+# kron(u_i, u_j) and its inverse for every S_ij but S_zz, which needs no rotation
+_ROTATIONS = MappingProxyType({
+    (i, j): (u, u.conj().T)
+    for i in BASIS_CHANGE for j in BASIS_CHANGE if (i, j) != ("z", "z")
+    for u in [np.kron(BASIS_CHANGE[i], BASIS_CHANGE[j])]
+})
+for _pair in _ROTATIONS.values():
+    for _arr in _pair:
+        _arr.setflags(write=False)
 
 
 def _to_zz_basis(amps: np.ndarray, sp: SpinProduct):
     """(kron(u_i, u_j) amps, its inverse): S_ij read as S_zz; no rotation for S_zz."""
     if sp.i == "z" and sp.j == "z":
         return amps, None
-    hit = _ROTATIONS.get((sp.i, sp.j))
-    if hit is None:
-        u = np.kron(BASIS_CHANGE[sp.i], BASIS_CHANGE[sp.j])
-        hit = (u, u.conj().T)
-        for arr in hit:
-            arr.setflags(write=False)
-        _ROTATIONS[(sp.i, sp.j)] = hit
-    return hit[0] @ amps, hit[1]
+    u, back = _ROTATIONS[sp.i, sp.j]
+    return u @ amps, back
 
 
 def local_branches(amps: np.ndarray, sp: SpinProduct):

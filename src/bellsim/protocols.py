@@ -1,25 +1,17 @@
-"""End-to-end Bell measurement protocols over a two-party LOCC engine.
+"""Bell measurement protocols: per-trial runners, their traces, the LOCC audit and the scheme table.
 
-Three physical routes to the same four-outcome Bell POVM:
+:data:`SCHEMES` has one row per route to the four-outcome Bell POVM:
+``fig1`` (the textbook circuit), ``scheme_a`` and ``scheme_b`` (spin
+products measured on shared ebits) and ``photonic`` (the optical model of
+:mod:`bellsim.photonic`). Each runner's docstring says what its route does.
 
-* ``run_fig1``      -- the textbook circuit: CNOT across the two qubits, then
-  a Hadamard on Alice's wire and local readout. Simple, but the CNOT spans
-  both parties, so the trace fails the LOCC audit.
-* ``run_scheme_a``  -- nonlocal S_zz (one shared ebit) followed by a local
-  S_xx; complete and deterministic, LOCC, but the final local measurement
-  destroys the Bell superposition (no post-state).
-* ``run_scheme_b``  -- nonlocal S_zz then nonlocal S_xx (two ebits); a
-  complete Bell filter: the system leaves in the Bell state named by the
-  outcome.
-
-Every run produces a :class:`ProtocolResult` with the outcome pair (m, n),
-the inferred Bell label, an ebit ledger and, when tracing is enabled, an
-ordered event trace (local operations, classical messages, measurements)
-that :func:`locc_audit` can check for locality violations.
-
-Classical communication is a symmetric exchange of outcome bits, recorded
-as ``send`` events in the trace; each party then computes the product, and
-the result records it once.
+A runner is the physics of one run: it calls the measurement kernels, debits
+the ebits they spent and returns a :class:`ProtocolResult` with the outcome
+pair (m, n), the Bell label and the ledger. When asked, it then renders the
+run's event trace from the readouts: local operations, measurements and the
+symmetric exchange of outcome bits (``send`` events), after which each party
+derives the result. :func:`locc_audit` checks a trace for locality
+violations. :class:`OutcomeTree` samples untraced runs in batches.
 """
 from __future__ import annotations
 
@@ -29,12 +21,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bellcore import BellLabel, classify, spin_product
+from .bellcore import BellLabel, SpinProduct, classify, spin_product
 from .measure import (
     LOCAL,
     NONLOCAL,
     STRATEGIES,
     FloorRule,
+    MeasurementRecord,
     RngStream,
     _z_branches,
     keyed_uniforms,
@@ -63,14 +56,9 @@ class Party:
     owned_qubits: frozenset[int]
 
 
-_SYSTEM_PARTIES = (
-    Party(ALICE, frozenset({_SYSTEM_A})),
-    Party(BOB, frozenset({_SYSTEM_B})),
-)
-_EXTENDED_PARTIES = (
-    Party(ALICE, frozenset({_SYSTEM_A, _METER_A})),
-    Party(BOB, frozenset({_SYSTEM_B, _METER_B})),
-)
+_SYSTEM_PARTIES = (Party(ALICE, frozenset({_SYSTEM_A})), Party(BOB, frozenset({_SYSTEM_B})))
+# while a nonlocal stage runs, each party also owns its meter qubit
+_EXTENDED_PARTIES = (Party(ALICE, frozenset({_SYSTEM_A, _METER_A})), Party(BOB, frozenset({_SYSTEM_B, _METER_B})))
 
 
 @dataclass(frozen=True)
@@ -152,93 +140,98 @@ class AuditReport:
     events_checked: int
 
 
-_BASIS_GATE_OP = {"x": "gate:H", "y": "gate:HSdg"}
-
-
-class _ProtocolRun:
-    """Mutable context for one run: register state, trace, ledger.
-
-    The ledger grants the scheme's ebits per run from :data:`SCHEMES`.
-    """
-
-    __slots__ = ("state", "rng", "ledger", "trace")
-
-    def __init__(self, state, rng, scheme, record_trace):
-        _require_two_qubits(state)
-        self.state = state
-        self.rng = rng
-        self.ledger = ResourceLedger(SCHEMES[scheme].ebits_per_run)
-        self.trace = [] if record_trace else None
-
-    def emit(self, step, party, op, qubits=(), message=None, outcome=None):
-        if self.trace is not None:
-            self.trace.append(TraceEvent(step, party, op, tuple(qubits), message, outcome))
-
-    def declare_ownership(self, step, *parties):
-        for party in parties:
-            self.emit(step, party.id, "own", tuple(sorted(party.owned_qubits)))
-
-    def declare_system_ownership(self):
-        if self.trace is not None:
-            self.declare_ownership("setup", *_SYSTEM_PARTIES)
-
-    def exchange_and_derive(self, stage, op, a_outcome, b_outcome, derived):
-        """Symmetric classical exchange, then each party derives the result."""
-        if self.trace is None:
-            return
-        step = f"{stage}:exchange-outcomes"
-        for sender, recipient, value in ((ALICE, BOB, a_outcome), (BOB, ALICE, b_outcome)):
-            message = ClassicalMessage(sender, recipient, {"outcome": value}, step)
-            self.emit(step, sender, "send", (), message=message)
-        self.emit(f"{stage}:{op}", ALICE, op, (), outcome=derived)
-        self.emit(f"{stage}:{op}", BOB, op, (), outcome=derived)
-
-    def nonlocal_stage(self, stage, sp):
-        """One ancilla-assisted spin-product measurement, traced step by step."""
-        self.ledger.consume(1)
-        tracing = self.trace is not None
-        if tracing:
-            self.declare_ownership(f"{stage}:distribute-ebit", *_EXTENDED_PARTIES)
-            self.emit(f"{stage}:distribute-ebit", ALICE, "ebit", (_METER_A,))
-            self.emit(f"{stage}:distribute-ebit", BOB, "ebit", (_METER_B,))
-            if sp.i != "z":
-                self.emit(f"{stage}:local-basis", ALICE, _BASIS_GATE_OP[sp.i], (_SYSTEM_A,))
-            if sp.j != "z":
-                self.emit(f"{stage}:local-basis", BOB, _BASIS_GATE_OP[sp.j], (_SYSTEM_B,))
-            self.emit(f"{stage}:local-cnot", ALICE, "gate:CNOT", (_SYSTEM_A, _METER_A))
-            self.emit(f"{stage}:local-cnot", BOB, "gate:CNOT", (_SYSTEM_B, _METER_B))
-        record, self.state = nonlocal_product_measurement(self.state, sp, self.rng)
-        z_a, z_b = record.local_outcomes
-        if tracing:
-            self.emit(f"{stage}:meter-readout", ALICE, "measure:z", (_METER_A,), outcome=z_a)
-            self.emit(f"{stage}:meter-readout", BOB, "measure:z", (_METER_B,), outcome=z_b)
-            self.emit(f"{stage}:meter-discard", ALICE, "discard", (_METER_A,))
-            self.emit(f"{stage}:meter-discard", BOB, "discard", (_METER_B,))
-            if sp.i != "z":
-                self.emit(f"{stage}:local-basis", ALICE, _BASIS_GATE_OP[sp.i], (_SYSTEM_A,))
-            if sp.j != "z":
-                self.emit(f"{stage}:local-basis", BOB, _BASIS_GATE_OP[sp.j], (_SYSTEM_B,))
-        product = record.product_outcome
-        self.exchange_and_derive(stage, "multiply", z_a, z_b, product)
-        return product
-
-    def local_stage(self, stage, sp):
-        """One local spin-product measurement: per-site Pauli readout + product."""
-        record, self.state = local_product_measurement(self.state, sp, self.rng)
-        z_a, z_b = record.local_outcomes
-        self.emit(f"{stage}:local-measure", ALICE, f"measure:{sp.i}", (_SYSTEM_A,), outcome=z_a)
-        self.emit(f"{stage}:local-measure", BOB, f"measure:{sp.j}", (_SYSTEM_B,), outcome=z_b)
-        product = record.product_outcome
-        self.exchange_and_derive(stage, "multiply", z_a, z_b, product)
-        return product
-
-    def trace_tuple(self):
-        return () if self.trace is None else tuple(self.trace)
+_SZZ, _SXX = spin_product("z", "z"), spin_product("x", "x")
 
 
 def _require_two_qubits(s: StateVector) -> None:
     if s.n_qubits != 2:
         raise ValueError("expected a 2-qubit state")
+
+
+# --- Traces: rendered once from a run's readouts -------------------------------
+
+_BASIS_GATE_OP = {"x": "gate:H", "y": "gate:HSdg"}
+
+
+def _own(step: str, parties) -> list[TraceEvent]:
+    return [TraceEvent(step, party.id, "own", tuple(sorted(party.owned_qubits))) for party in parties]
+
+
+def _exchange(stage: str, op: str, a_outcome, b_outcome, derived) -> list[TraceEvent]:
+    """Symmetric classical exchange, then each party derives the result."""
+    step = f"{stage}:exchange-outcomes"
+    return [
+        TraceEvent(step, ALICE, "send", message=ClassicalMessage(ALICE, BOB, {"outcome": a_outcome}, step)),
+        TraceEvent(step, BOB, "send", message=ClassicalMessage(BOB, ALICE, {"outcome": b_outcome}, step)),
+        TraceEvent(f"{stage}:{op}", ALICE, op, outcome=derived),
+        TraceEvent(f"{stage}:{op}", BOB, op, outcome=derived),
+    ]
+
+
+def _basis_change(stage: str, sp: SpinProduct) -> list[TraceEvent]:
+    """Each party's single-qubit rotation of S_ij's axis onto z; none for z."""
+    return [
+        TraceEvent(f"{stage}:local-basis", party, _BASIS_GATE_OP[axis], (qubit,))
+        for party, axis, qubit in ((ALICE, sp.i, _SYSTEM_A), (BOB, sp.j, _SYSTEM_B))
+        if axis != "z"
+    ]
+
+
+def _render_nonlocal(stage: str, sp: SpinProduct, record: MeasurementRecord) -> list[TraceEvent]:
+    """One ancilla-assisted spin-product measurement, step by step."""
+    z_a, z_b = record.local_outcomes
+    return [
+        *_own(f"{stage}:distribute-ebit", _EXTENDED_PARTIES),
+        TraceEvent(f"{stage}:distribute-ebit", ALICE, "ebit", (_METER_A,)),
+        TraceEvent(f"{stage}:distribute-ebit", BOB, "ebit", (_METER_B,)),
+        *_basis_change(stage, sp),
+        TraceEvent(f"{stage}:local-cnot", ALICE, "gate:CNOT", (_SYSTEM_A, _METER_A)),
+        TraceEvent(f"{stage}:local-cnot", BOB, "gate:CNOT", (_SYSTEM_B, _METER_B)),
+        TraceEvent(f"{stage}:meter-readout", ALICE, "measure:z", (_METER_A,), outcome=z_a),
+        TraceEvent(f"{stage}:meter-readout", BOB, "measure:z", (_METER_B,), outcome=z_b),
+        TraceEvent(f"{stage}:meter-discard", ALICE, "discard", (_METER_A,)),
+        TraceEvent(f"{stage}:meter-discard", BOB, "discard", (_METER_B,)),
+        *_basis_change(stage, sp),
+        *_exchange(stage, "multiply", z_a, z_b, record.product_outcome),
+    ]
+
+
+def _render_local(stage: str, sp: SpinProduct, record: MeasurementRecord) -> list[TraceEvent]:
+    """One local spin-product measurement: per-site Pauli readout, then the product."""
+    z_a, z_b = record.local_outcomes
+    return [
+        TraceEvent(f"{stage}:local-measure", ALICE, f"measure:{sp.i}", (_SYSTEM_A,), outcome=z_a),
+        TraceEvent(f"{stage}:local-measure", BOB, f"measure:{sp.j}", (_SYSTEM_B,), outcome=z_b),
+        *_exchange(stage, "multiply", z_a, z_b, record.product_outcome),
+    ]
+
+
+# the trace of one spin-product stage, keyed by its strategy as STRATEGIES
+_RENDER_STAGE = {NONLOCAL: _render_nonlocal, LOCAL: _render_local}
+
+
+def _render_fig1(z_a: int, z_b: int, label: BellLabel) -> tuple[TraceEvent, ...]:
+    """The circuit: a CNOT across both wires, H on Alice's, readout, then the exchange."""
+    return (
+        *_own("setup", _SYSTEM_PARTIES),
+        TraceEvent("circuit", None, "gate:CNOT", (_SYSTEM_A, _SYSTEM_B)),
+        TraceEvent("circuit", ALICE, "gate:H", (_SYSTEM_A,)),
+        TraceEvent("readout", ALICE, "measure:z", (_SYSTEM_A,), outcome=z_a),
+        TraceEvent("readout", BOB, "measure:z", (_SYSTEM_B,), outcome=z_b),
+        *_exchange("readout", "classify", z_a, z_b, label.value),
+    )
+
+
+def _render_spin_products(szz: MeasurementRecord, sxx: MeasurementRecord) -> tuple[TraceEvent, ...]:
+    """Ownership of the system, then the S_zz and the S_xx stage, each as its strategy renders it."""
+    return (
+        *_own("setup", _SYSTEM_PARTIES),
+        *_RENDER_STAGE[szz.strategy]("szz", _SZZ, szz),
+        *_RENDER_STAGE[sxx.strategy]("sxx", _SXX, sxx),
+    )
+
+
+# --- Runners: the physics of one run, then its trace if asked for ----------------
 
 
 def run_fig1(s: StateVector, rng: RngStream, record_trace: bool = True) -> ProtocolResult:
@@ -248,21 +241,31 @@ def run_fig1(s: StateVector, rng: RngStream, record_trace: bool = True) -> Proto
     |+->, |--> respectively. The CNOT touches both parties' qubits, so the
     trace is marked nonlocal and fails :func:`locc_audit`. Consumes no ebits.
     """
-    run = _ProtocolRun(s, rng, "fig1", record_trace)
-    run.declare_system_ownership()
-    run.emit("circuit", None, "gate:CNOT", (_SYSTEM_A, _SYSTEM_B))
-    state = StateVector(2, CNOT @ s.amplitudes)
-    run.emit("circuit", ALICE, "gate:H", (_SYSTEM_A,))
-    state = StateVector(2, _H_ON_A @ state.amplitudes)
+    _require_two_qubits(s)
+    ledger = ResourceLedger(SCHEMES["fig1"].ebits_per_run)
+    state = StateVector(2, _H_ON_A @ (CNOT @ s.amplitudes))
     z_a, state = measure_local_pauli(state, _SYSTEM_A, "z", rng)
     z_b, state = measure_local_pauli(state, _SYSTEM_B, "z", rng)
-    run.emit("readout", ALICE, "measure:z", (_SYSTEM_A,), outcome=z_a)
-    run.emit("readout", BOB, "measure:z", (_SYSTEM_B,), outcome=z_b)
-    # the wire carrying the Hadamard resolves +/-, the other Phi/Psi
-    m, n = z_b, z_a
-    if record_trace:
-        run.exchange_and_derive("readout", "classify", z_a, z_b, classify(m, n).value)
-    return ProtocolResult((m, n), state, run.trace_tuple(), run.ledger)
+    outcomes = (z_b, z_a)  # the wire carrying the Hadamard resolves +/-, the other Phi/Psi
+    trace = _render_fig1(z_a, z_b, classify(*outcomes)) if record_trace else ()
+    return ProtocolResult(outcomes, state, trace, ledger)
+
+
+def _run_spin_products(s: StateVector, rng: RngStream, scheme: str, second: Callable, record_trace: bool):
+    """Nonlocal S_zz, then S_xx by the ``second`` kernel, as :func:`_spin_product_tree`.
+
+    The body of schemes (a) and (b); only a Bell filter reports its post-state.
+    """
+    _require_two_qubits(s)
+    row = SCHEMES[scheme]
+    ledger = ResourceLedger(row.ebits_per_run)
+    szz, state = nonlocal_product_measurement(s, _SZZ, rng)
+    sxx, state = second(state, _SXX, rng)
+    for record in (szz, sxx):
+        ledger.consume(record.ebits_consumed)
+    trace = _render_spin_products(szz, sxx) if record_trace else ()
+    outcomes = (szz.product_outcome, sxx.product_outcome)
+    return ProtocolResult(outcomes, state if row.filters else None, trace, ledger)
 
 
 def run_scheme_a(s: StateVector, rng: RngStream, record_trace: bool = True) -> ProtocolResult:
@@ -271,11 +274,7 @@ def run_scheme_a(s: StateVector, rng: RngStream, record_trace: bool = True) -> P
     LOCC throughout. The final local measurement collapses the system to an
     x product state, so no post-state is reported.
     """
-    run = _ProtocolRun(s, rng, "scheme_a", record_trace)
-    run.declare_system_ownership()
-    m = run.nonlocal_stage("szz", spin_product("z", "z"))
-    n = run.local_stage("sxx", spin_product("x", "x"))
-    return ProtocolResult((m, n), None, run.trace_tuple(), run.ledger)
+    return _run_spin_products(s, rng, "scheme_a", local_product_measurement, record_trace)
 
 
 def run_scheme_b(s: StateVector, rng: RngStream, record_trace: bool = True) -> ProtocolResult:
@@ -284,11 +283,7 @@ def run_scheme_b(s: StateVector, rng: RngStream, record_trace: bool = True) -> P
     LOCC throughout, and the post-state is exactly the Bell state named by
     the outcome pair (up to global phase).
     """
-    run = _ProtocolRun(s, rng, "scheme_b", record_trace)
-    run.declare_system_ownership()
-    m = run.nonlocal_stage("szz", spin_product("z", "z"))
-    n = run.nonlocal_stage("sxx", spin_product("x", "x"))
-    return ProtocolResult((m, n), run.state, run.trace_tuple(), run.ledger)
+    return _run_spin_products(s, rng, "scheme_b", nonlocal_product_measurement, record_trace)
 
 
 # --- LOCC audit ---------------------------------------------------------------
@@ -366,7 +361,6 @@ def locc_audit(trace) -> AuditReport:
 # second stage after branch i (None when there is no second stage), and
 # labels[i, j] is the index of the Bell label that leaf (i, j) names.
 
-_SZZ, _SXX = spin_product("z", "z"), spin_product("x", "x")
 _LABELS = tuple(BellLabel)  # in index order
 
 
@@ -468,7 +462,7 @@ class Scheme(NamedTuple):
     """One route to the Bell measurement."""
 
     ebits_per_run: int
-    # traced protocol runner; None for the photonic model, which has no trace
+    # per-trial runner, which renders a trace from its readouts; None for the photonic model
     runner: Callable[..., ProtocolResult] | None
     tree: Callable  # s -> (first-stage weights, child, labels), as above
     analytic: Callable  # s -> label probabilities in label order, along the route's own algebra

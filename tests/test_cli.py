@@ -238,7 +238,7 @@ REPORT_SCHEMA = {
                 }
             },
         },
-        "chi_square": {"type": "number"},
+        "chi_square": {"type": ["number", "null"]},
         "fidelity": {"type": "number"},
         "ledger": {
             "type": "object",
@@ -367,6 +367,26 @@ def test_chi_square_zero_probability_branch(capsys):
     assert code == 0
     report = report_of(out)
     assert report["chi_square"] == pytest.approx(0.0, abs=1e-9)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+# a seed whose one trial reaches scheme (a)'s leaf (1, 1), PsiMinus, analytic probability 6.2e-16
+UNBOUNDED_CHI_SQUARE = ("run", "--scheme", "scheme_a", "--state=1,0,1.5e-6,2.5e-8", "--trials", "1",
+                        "--seed", "8961729353415447862")
+
+
+def test_unbounded_chi_square_is_null_in_json_and_empty_in_csv(capsys):
+    code, out, _ = run_cli(capsys, *UNBOUNDED_CHI_SQUARE)
+    assert code == 0
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["empirical"]["counts"]["PsiMinus"] == 1
+    assert report["chi_square"] is None
+    code, out, _ = run_cli(capsys, *UNBOUNDED_CHI_SQUARE, "--output", "csv")
+    assert code == 0
+    assert dict(csv.reader(io.StringIO(out)))["chi_square"] == ""
 
 
 def test_trials_cap(capsys):

@@ -1,4 +1,5 @@
 """Protocol runs, LOCC audit, ledgers and outcome distributions."""
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from bellsim.bellcore import BellCoefficients, BellLabel, bell_state, from_bell, outcome_pair, to_bell
 from bellsim import photonic, protocols
+from bellsim.cli import resolve_state
 from bellsim.measure import RngStream
 from bellsim.protocols import (
     AuditReport,
@@ -236,7 +238,28 @@ def test_audit_flags_non_classical_payload():
     assert "not classical" in report.violations[0]
 
 
-# --- trace / channel / ledger machinery ------------------------------------------------
+# --- trace / message / ledger machinery ------------------------------------------------
+
+# sha256 prefix of the JSON-lines traces of every traced run on
+# RngStream(seed).substream(0), seeds 0-63, over the inputs below
+TRACE_DIGESTS = {
+    "fig1": "fee8523ad4d890cb",
+    "scheme_a": "7ace27214ae727a0",
+    "scheme_b": "e70f1142213badea",
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(TRACE_DIGESTS))
+def test_traces_match_pinned_digests(scheme):
+    states = [bell_state(label) for label in LABELS] + [haar_random_state(2, np.random.default_rng(83))]
+    states.append(resolve_state("1,0,1.5e-6,2.5e-8", 0)[0])  # branches near PROB_FLOOR
+    digest = hashlib.sha256()
+    for s in states:
+        for seed in range(64):
+            result = SCHEMES[scheme].runner(s, RngStream(seed).substream(0), record_trace=True)
+            digest.update(trace_to_jsonl(result.trace).encode() + b"\n")
+    assert digest.hexdigest()[:16] == TRACE_DIGESTS[scheme]
+
 
 def test_trace_jsonl_schema():
     result = run_scheme_b(bell_state(BellLabel.PSI_PLUS), RngStream(47))
@@ -249,7 +272,7 @@ def test_trace_jsonl_schema():
         assert {"step", "party", "op", "qubits"} <= set(event)
 
 
-def test_messages_flow_through_custom_channel():
+def test_each_stage_exchanges_outcomes_both_ways():
     result = run_scheme_a(bell_state(BellLabel.PHI_PLUS), RngStream(53))
     sent = [event.message for event in result.trace if event.op == "send"]
     # two stages, symmetric exchange each: four messages
@@ -265,7 +288,7 @@ def test_untraced_runs_skip_trace_but_keep_ledger():
     assert result.ledger.ebits_consumed == 2
 
 
-def test_ebit_source_grants_phi_plus_and_debits():
+def test_ledger_never_consumes_more_than_granted():
     ledger = ResourceLedger(2)
     ledger.consume(1)
     ledger.consume(1)
@@ -331,15 +354,21 @@ def test_draws_per_trial_are_pinned(scheme, kind):
     else:
         states = [bell_state(label) for label in LABELS]
     for t, s in enumerate(states):
-        counters = []
+        counters, results = [], []
         for traced in (False, True):
             rng = RngStream(79).substream(t)
             if scheme == "photonic":  # no runner and no trace: one detection
                 photonic.detect(photonic.build_photonic_run(s), rng)
             else:
-                SCHEMES[scheme].runner(s, rng, record_trace=traced)
+                results.append(SCHEMES[scheme].runner(s, rng, record_trace=traced))
             counters.append(rng.counter)
         assert counters == [DRAWS_PER_TRIAL[scheme, kind]] * 2
+        if results:  # tracing changes nothing but the trace
+            untraced, traced = (
+                (r.outcomes, r.ledger, None if r.post_state is None else r.post_state.amplitudes.tobytes())
+                for r in results
+            )
+            assert untraced == traced
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
