@@ -23,7 +23,9 @@ splittable stream, so every run is reproducible.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -59,19 +61,41 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """:func:`_mix64` in place on a ``uint64`` array (array arithmetic wraps without warning)."""
-    x ^= x >> 30
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> 27
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> 31
+_MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)  # _mix64's multipliers
+
+
+def _mix64_array(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """:func:`_mix64` in place on a ``uint64`` array (array arithmetic wraps without warning).
+
+    ``scratch``, like ``x``, takes each shifted word; without it one is allocated.
+    """
+    if scratch is None:
+        scratch = np.empty_like(x)
+    np.right_shift(x, 30, out=scratch)
+    x ^= scratch
+    x *= _MIX_A
+    np.right_shift(x, 27, out=scratch)
+    x ^= scratch
+    x *= _MIX_B
+    np.right_shift(x, 31, out=scratch)
+    x ^= scratch
     return x
+
+
+def _keyed_draws(keys: np.ndarray, counter: int, word: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`keyed_uniforms` written into ``word`` and returned as its ``float64`` view."""
+    np.add(keys, np.uint64(counter * _GOLDEN & _MASK64), out=word)
+    _mix64_array(word, scratch)
+    word >>= 11
+    u = word.view(np.float64)
+    np.copyto(u, word)  # elementwise in place: each 53-bit word converts exactly
+    u *= _DRAW_SCALE
+    return u
 
 
 def keyed_uniforms(keys: np.ndarray, counter: int) -> np.ndarray:
     """Draw ``counter`` (1-based) of the streams with these keys, as ``uniform()`` makes it."""
-    return (_mix64_array(keys + np.uint64(counter * _GOLDEN & _MASK64)) >> 11) * _DRAW_SCALE
+    return _keyed_draws(keys, counter, np.empty_like(keys), np.empty_like(keys))
 
 
 class RngStream:
@@ -109,10 +133,14 @@ class RngStream:
 
     def substream_keys(self, start: int, stop: int) -> np.ndarray:
         """Keys of ``substream(i)`` for i in [start, stop), a ``uint64`` array for :func:`keyed_uniforms`."""
-        keys = np.arange(start + 1, stop + 1, dtype=np.uint64)
-        keys *= np.uint64(_GOLDEN)
+        keys = np.empty(stop - start, np.uint64)
+        return self._keys_into(start, keys, np.empty_like(keys))
+
+    def _keys_into(self, start: int, keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """:meth:`substream_keys` from ``start``, as many as ``keys`` holds, written into it."""
+        np.multiply(np.arange(start + 1, start + 1 + keys.size, dtype=np.uint64), np.uint64(_GOLDEN), out=keys)
         keys += np.uint64(self._key)
-        return _mix64_array(keys)
+        return _mix64_array(keys, scratch)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, path={self.path}, counter={self.counter})"
@@ -176,55 +204,94 @@ def _choose_outcome(weights: np.ndarray, rng: RngStream) -> int:
 
     A single surviving branch is taken without consuming randomness, and a
     draw that lands on a dead sliver is redirected to the heaviest branch
-    (never a ~null state).
+    (never a ~null state). Pure Python: on a handful of weights numpy's
+    per-call cost would be most of the work.
     """
-    alive = weights > PROB_FLOOR
-    n_alive = int(np.count_nonzero(alive))
-    if n_alive <= 1:
-        return int(np.argmax(weights))
-    cdf = np.cumsum(weights)
-    index = int(np.searchsorted(cdf, rng.uniform() * cdf[-1], side="right"))
+    weights = weights.tolist()
+    if len([w for w in weights if w > PROB_FLOOR]) <= 1:
+        return weights.index(max(weights))
+    cdf = list(accumulate(weights))  # the same sums, in the same order, as np.cumsum
+    index = bisect_right(cdf, rng.uniform() * cdf[-1])
     if weights[index] <= PROB_FLOOR:
-        index = int(np.argmax(weights))
+        index = weights.index(max(weights))
     return index
 
 
 class FloorRule(NamedTuple):
     """:func:`_choose_outcome` on rows of Born weights, replayed on batches of draws.
 
-    Only one-dimensional array operations: numpy's broadcasting and
+    Branch j of row r is leaf r * k + j. The batch picks work in place on
+    one-dimensional arrays the caller owns: numpy's broadcasting and
     fancy-indexing machinery allocates more than the arrays themselves.
     """
 
     draws: np.ndarray  # (rows,) more than one live branch: the row takes a draw
     cdf: np.ndarray  # (rows, k) running sums of the weights
-    dead: np.ndarray  # (rows, k) never kept: at or below PROB_FLOOR, or any pick of a drawless row
-    heaviest: np.ndarray  # (rows,) the argmax, which takes the place of a dead pick
+    # (rows * k,) the leaf a pick keeps: itself, or its row's argmax when it is dead
+    # (at or below PROB_FLOOR, or any pick of a drawless row)
+    kept: np.ndarray
 
     @classmethod
     def empty(cls, rows: int, k: int) -> "FloorRule":
         """Rows that take branch 0 without a draw until :meth:`set_row` fills them."""
-        return cls(np.zeros(rows, bool), np.ones((rows, k)), np.ones((rows, k), bool), np.zeros(rows, np.intp))
+        return cls(np.zeros(rows, bool), np.ones((rows, k)), np.arange(rows * k) // k * k)
 
     def set_row(self, row: int, weights: np.ndarray) -> None:
         dead = weights <= PROB_FLOOR
         self.draws[row] = np.count_nonzero(~dead) > 1
         self.cdf[row] = weights.cumsum()
-        self.dead[row] = dead | ~self.draws[row]
-        self.heaviest[row] = weights.argmax()
+        k = weights.size
+        kept = np.where(dead | ~self.draws[row], weights.argmax(), np.arange(k))
+        self.kept[row * k:row * k + k] = row * k + kept
 
     def pick(self, rows, u: np.ndarray) -> np.ndarray:
         """The branch of row ``rows[k]`` that uniform ``u[k]`` selects; an int ``rows`` is one row for all."""
+        u, scratch = np.array(u, float), np.empty(len(u), np.uint64)
         if isinstance(rows, int):
-            cdf = self.cdf[rows]
-            index = cdf.searchsorted(u * cdf[-1], side="right")
-        else:  # searchsorted(side="right") counts the running sums at or below the draw
-            x = u * self.cdf[:, -1].take(rows)
-            index = np.zeros(x.size, np.intp)
-            for column in self.cdf.T:
-                index += column.take(rows) <= x
-        np.copyto(index, self.heaviest.take(rows), where=self.dead.take(rows * self.dead.shape[1] + index))
-        return index
+            leaf = self.leaves_in_row(rows, u, scratch)
+        else:
+            leaf = self.leaves_by_row(np.array(rows, np.intp), u, scratch, np.empty((2, u.size), np.uint8))
+        return leaf % self.cdf.shape[1]
+
+    def leaves_in_row(self, row: int, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """A new array of the leaves that draws ``u`` (scaled in place) select in one row."""
+        cdf = self.cdf[row]
+        u *= cdf[-1]
+        leaf = cdf.searchsorted(u, side="right")
+        if row:
+            leaf += row * cdf.size
+        return self.keep(leaf, scratch)
+
+    def leaves_by_row(self, leaf: np.ndarray, u: np.ndarray, scratch: np.ndarray, flags: np.ndarray) -> np.ndarray:
+        """In place: each row in ``leaf`` becomes the leaf its draw in ``u`` (scaled in place) selects.
+
+        ``scratch`` (``uint64``) and ``flags`` (``uint8``, two rows) are work buffers of u's size.
+        """
+        k = self.cdf.shape[1]
+        x, (count, below), below_mask = scratch.view(np.float64), flags, flags[1].view(bool)
+        leaf *= k
+        flat = self.cdf.reshape(-1)  # running sum j of row r at leaf r * k + j
+        # mode "clip" never clips here (the leaves are in range); mode "raise" would buffer the result
+        flat[k - 1:].take(leaf, out=x, mode="clip")
+        u *= x
+        count.fill(0)
+        # searchsorted(side="right") counts the running sums at or below the draw;
+        # the last, the total, is above every u * total (u < 1, so the product rounds below it)
+        for j in range(k - 1):
+            flat[j:].take(leaf, out=x, mode="clip")
+            np.less_equal(x, u, out=below_mask)
+            count += below
+        counted = scratch.view(np.intp)
+        np.copyto(counted, count)
+        leaf += counted
+        return self.keep(leaf, scratch)
+
+    def keep(self, leaf: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """In place: each picked leaf becomes the leaf the floor rule keeps."""
+        kept = scratch.view(np.intp)
+        self.kept.take(leaf, out=kept, mode="clip")
+        np.copyto(leaf, kept)
+        return leaf
 
 
 def measure_local_pauli(s: StateVector, qubit: int, axis: str, rng: RngStream):

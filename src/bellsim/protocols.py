@@ -29,8 +29,8 @@ from .measure import (
     FloorRule,
     MeasurementRecord,
     RngStream,
+    _keyed_draws,
     _z_branches,
-    keyed_uniforms,
     local_product_measurement,
     measure_local_pauli,
     nonlocal_product_measurement,
@@ -109,9 +109,12 @@ class TraceEvent:
         return d
 
 
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(..., sort_keys=True) builds one per call
+
+
 def trace_to_jsonl(trace) -> str:
     """Serialize a trace as line-delimited JSON, one event per line."""
-    return "\n".join(json.dumps(event.as_dict(), sort_keys=True) for event in trace)
+    return "\n".join(_EVENT_ENCODER.encode(event.as_dict()) for event in trace)
 
 
 @dataclass(frozen=True, eq=False)
@@ -502,9 +505,14 @@ def iterate_runs(s: StateVector, scheme: str, trials: int, seed: int):
         yield runner(s, root.substream(t), record_trace=False)
 
 
-# Trials per batch of OutcomeTree.sample. Larger batches run faster but raise
-# the heap peak of every sampled run; 64 already lifts `bellsim verify`'s.
-TREE_CHUNK = 32
+# Trials per chunk of OutcomeTree.sample. A chunk costs the same numpy calls
+# whatever its size, so a larger chunk samples faster, but its work buffers
+# add about 34 bytes per trial to the heap peak of every sampled run. perfbench
+# mc-throughput (2000-trial runs; 2 cores, Python 3.11.7, numpy 2.4.6) reads
+# trials_per_s / peak_heap_mb of 0.57 M / 33.5 KB at 32, 0.87 M / 34.1 KB at
+# 64, 1.01 M / 35.2 KB at 96 and 1.16 M / 36.3 KB at 128: 64 is the largest
+# chunk that keeps the peak within 2 % of 32's.
+TREE_CHUNK = 64
 
 
 class OutcomeTree:
@@ -524,36 +532,49 @@ class OutcomeTree:
         self._first.set_row(0, weights)
         if self._child:
             self._second = FloorRule.empty(*self.labels.shape)
+            self._second_draws = False  # a second stage built so far takes a draw
             self._posts = [None] * len(self.labels)  # post_of of each second stage built
-            self._unbuilt = {int(self._first.heaviest[0]), *np.flatnonzero(~self._first.dead[0]).tolist()}
+            self._unbuilt = set(self._first.kept.tolist())
 
     def sample(self, trials: int, seed: int) -> np.ndarray:
-        """Leaf histogram of ``trials`` runs; trial t draws from ``RngStream(seed).substream(t)``."""
-        root, first_draws = RngStream(seed), bool(self._first.draws[0])
+        """Leaf histogram of ``trials`` runs; trial t draws from ``RngStream(seed).substream(t)``.
+
+        Each chunk works in the same few buffers: the substream keys, the
+        draw word (read as the float draws), a scratch word, a byte count and a byte mask.
+        """
+        root, size = RngStream(seed), min(TREE_CHUNK, trials)
+        words, flags = np.empty((3, size), np.uint64), np.empty((2, size), np.uint8)
         leaves = np.zeros(self.labels.size, dtype=np.int64)
         for start in range(0, trials, TREE_CHUNK):
-            stop = min(start + TREE_CHUNK, trials)
-            if first_draws:
-                keys = root.substream_keys(start, stop)
-                leaf = self._first.pick(0, keyed_uniforms(keys, 1))
-            else:
-                keys, leaf = None, np.full(stop - start, self._first.heaviest[0])
-            if self._child:
-                if self._unbuilt:
-                    hit = np.bincount(leaf, minlength=len(self.labels))
-                    for i in [i for i in self._unbuilt if hit[i]]:
-                        weights, self._posts[i] = self._child(i)
-                        self._second.set_row(i, weights)
-                        self._unbuilt.discard(i)
-                rule = self._second
-                if rule.draws.take(leaf).any():
-                    keys = root.substream_keys(start, stop) if keys is None else keys
-                    second = rule.pick(leaf, keyed_uniforms(keys, 1 + first_draws))
-                else:
-                    second = rule.heaviest.take(leaf)
-                leaf = leaf * self.labels.shape[1] + second
-            leaves += np.bincount(leaf, minlength=leaves.size)
+            if trials - start < size:  # the last chunk is short
+                words, flags = words[:, :trials - start], flags[:, :trials - start]
+            leaves += np.bincount(self._chunk(root, start, words, flags), minlength=leaves.size)
         return leaves.reshape(self.labels.shape)
+
+    def _chunk(self, root: RngStream, start: int, words: np.ndarray, flags: np.ndarray) -> np.ndarray:
+        """The leaf of each trial of the chunk from ``start``, one per column of the buffers."""
+        keys, word, scratch = words
+        first_draws = bool(self._first.draws[0])
+        if first_draws:
+            root._keys_into(start, keys, scratch)
+            leaf = self._first.leaves_in_row(0, _keyed_draws(keys, 1, word, scratch), scratch)
+        else:
+            leaf = np.full(keys.size, self._first.kept[0])
+        if not self._child:
+            return leaf
+        if self._unbuilt:
+            hit = np.bincount(leaf, minlength=len(self.labels))
+            for i in [i for i in self._unbuilt if hit[i]]:
+                weights, self._posts[i] = self._child(i)
+                self._second.set_row(i, weights)
+                self._second_draws |= bool(self._second.draws[i])
+                self._unbuilt.discard(i)
+        if not self._second_draws:  # every row reached keeps its heaviest branch
+            leaf *= self.labels.shape[1]
+            return self._second.keep(leaf, scratch)
+        if not first_draws:
+            root._keys_into(start, keys, scratch)
+        return self._second.leaves_by_row(leaf, _keyed_draws(keys, 1 + first_draws, word, scratch), scratch, flags)
 
     def label_counts(self, leaves: np.ndarray) -> dict:
         """Histogram over the four Bell labels of a leaf histogram."""

@@ -4,6 +4,9 @@
 ``detect``) draw on ``RngStream(seed).substream(t)``: the same keys, the same
 draw numbers and the same floor rule as ``_choose_outcome``.
 """
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,11 +15,15 @@ from hypothesis import strategies as st
 from bellsim import cli, photonic
 from bellsim.bellcore import BellCoefficients, BellLabel, bell_state, classify, from_bell, spin_product
 from bellsim.measure import (
+    _GOLDEN,
     LOCAL,
     PROB_FLOOR,
     FloorRule,
     RngStream,
     _choose_outcome,
+    _keyed_draws,
+    _mix64,
+    _mix64_array,
     keyed_uniforms,
     local_product_measurement,
 )
@@ -96,6 +103,52 @@ def test_keyed_uniforms_are_the_substream_draws(seed, start, size, counter):
         stream = root.substream(t)
         expected.append([stream.uniform() for _ in range(counter)][-1])
     assert batched.tolist() == expected
+
+
+# buffers of 1, TREE_CHUNK and TREE_CHUNK + 1 words, with the edge words all
+# zeros, all ones and multiples of the key step of trial streams
+WORDS = st.one_of(
+    st.sampled_from([0, 2**64 - 1]),
+    st.integers(0, 4 * TREE_CHUNK).map(lambda k: k * _GOLDEN % 2**64),
+    st.integers(0, 2**64 - 1),
+)
+BUFFERS = st.sampled_from([1, TREE_CHUNK, TREE_CHUNK + 1]).flatmap(lambda n: st.lists(WORDS, min_size=n, max_size=n))
+
+
+@given(words=BUFFERS)
+@settings(max_examples=25, deadline=None)
+def test_in_place_mix_and_draws_are_the_scalar_ones(words):
+    """The splitmix core and the draw written through a float view of its word, word for word."""
+    x = np.array(words, np.uint64)
+    assert _mix64_array(x, np.empty_like(x)) is x
+    assert x.tolist() == [_mix64(w) for w in words]
+    keys = np.array(words, np.uint64)
+    u = _keyed_draws(keys, 3, np.empty_like(keys), np.empty_like(keys))
+    assert keys.tolist() == words
+    assert u.tolist() == [(_mix64(w + 3 * _GOLDEN) >> 11) * 2.0**-53 for w in words]
+
+
+def _heap_peak(fn) -> int:
+    """Bytes that ``fn()`` holds at its heap peak above the heap in use before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_sampling_memory_does_not_grow_with_trials(scheme):
+    """A run's work buffers are a chunk's: ten chunks and a short one peak no higher than one chunk."""
+    tree = OutcomeTree(haar_random_state(2, np.random.default_rng(11)), SCHEMES[scheme].tree)
+    many = 10 * TREE_CHUNK + 3
+    tree.sample(many, 5)  # builds every second stage a trial reaches
+    gc.collect()
+    one_chunk = _heap_peak(lambda: tree.sample(TREE_CHUNK, 5))
+    assert _heap_peak(lambda: tree.sample(many, 5)) <= one_chunk + 512
 
 
 class _Fixed:
