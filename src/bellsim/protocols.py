@@ -505,14 +505,14 @@ def iterate_runs(s: StateVector, scheme: str, trials: int, seed: int):
         yield runner(s, root.substream(t), record_trace=False)
 
 
-# Trials per chunk of OutcomeTree.sample. A chunk costs the same numpy calls
-# whatever its size, so a larger chunk samples faster, but its work buffers
-# add about 34 bytes per trial to the heap peak of every sampled run. perfbench
-# mc-throughput (2000-trial runs; 2 cores, Python 3.11.7, numpy 2.4.6) reads
-# trials_per_s / peak_heap_mb of 0.57 M / 33.5 KB at 32, 0.87 M / 34.1 KB at
-# 64, 1.01 M / 35.2 KB at 96 and 1.16 M / 36.3 KB at 128: 64 is the largest
-# chunk that keeps the peak within 2 % of 32's.
-TREE_CHUNK = 64
+# Trials per chunk of OutcomeTree.sample. A chunk costs about the same numpy
+# calls whatever its size, so what bounds it is a run's heap peak: the CLI's
+# parsing garbage, plus the second-stage weights the tree keeps, plus 34 bytes
+# per chunk-trial of work buffers. perfbench mc-throughput's largest call
+# (2000-trial runs; 2 cores, Python 3.11.7, numpy 2.4.6) peaks at 35.5 KB at
+# 64, 35.6 KB at 128, 36.7 KB at 192 and 38.9 KB at 256; 192 stays within 2 %
+# of the 36.1 KB at 64 of a tree that also kept every stage's post-states.
+TREE_CHUNK = 192
 
 
 class OutcomeTree:
@@ -533,7 +533,6 @@ class OutcomeTree:
         if self._child:
             self._second = FloorRule.empty(*self.labels.shape)
             self._second_draws = False  # a second stage built so far takes a draw
-            self._posts = [None] * len(self.labels)  # post_of of each second stage built
             self._unbuilt = set(self._first.kept.tolist())
 
     def sample(self, trials: int, seed: int) -> np.ndarray:
@@ -565,8 +564,7 @@ class OutcomeTree:
         if self._unbuilt:
             hit = np.bincount(leaf, minlength=len(self.labels))
             for i in [i for i in self._unbuilt if hit[i]]:
-                weights, self._posts[i] = self._child(i)
-                self._second.set_row(i, weights)
+                self._second.set_row(i, self._child(i)[0])
                 self._second_draws |= bool(self._second.draws[i])
                 self._unbuilt.discard(i)
         if not self._second_draws:  # every row reached keeps its heaviest branch
@@ -582,9 +580,11 @@ class OutcomeTree:
         return {label: int(total) for label, total in zip(_LABELS, totals)}
 
     def reached(self, leaves: np.ndarray):
-        """Yield (leaf, label, post-state) of every two-stage leaf that a trial reached."""
-        for i, j in zip(*np.nonzero(leaves)):
-            yield (int(i), int(j)), _LABELS[self.labels[i, j]], _wrap(2, self._posts[i](int(j)))
+        """Yield (leaf, label, post-state) of every two-stage leaf a trial reached; each reached row is rebuilt once."""
+        for i in np.flatnonzero(leaves.any(axis=1)).tolist():
+            post_of = self._child(i)[1]
+            for j in np.flatnonzero(leaves[i]).tolist():
+                yield (i, j), _LABELS[self.labels[i, j]], _wrap(2, post_of(j))
 
 
 def outcome_distribution(s: StateVector, scheme: str, trials: int, seed: int) -> dict:

@@ -151,6 +151,40 @@ def test_sampling_memory_does_not_grow_with_trials(scheme):
     assert _heap_peak(lambda: tree.sample(many, 5)) <= one_chunk + 512
 
 
+def _tree(scheme, rng_seed=11):
+    return OutcomeTree(haar_random_state(2, np.random.default_rng(rng_seed)), SCHEMES[scheme].tree)
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_sampling_keeps_only_weights(scheme):
+    """A sampled tree holds a reached second stage's weights, not its post-states: ``reached`` rebuilds those."""
+    _tree(scheme, 10).sample(10 * TREE_CHUNK + 3, 5)  # numpy's first-call caches are not the tree's
+    tree = _tree(scheme)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tree.sample(10 * TREE_CHUNK + 3, 5)
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - before <= 512
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_sampling_heap_per_chunk_trial(scheme):
+    """A chunk-trial costs at most 36 bytes of heap peak: three uint64 words, two bytes and an intp leaf are 34."""
+    tree = _tree(scheme)
+    tree.sample(10 * TREE_CHUNK + 3, 5)  # builds every second stage a trial reaches
+    gc.collect()
+
+    def lowest_peak(trials):  # of two runs: the first traced call after the warm-up reads a few hundred bytes high
+        return min(_heap_peak(lambda: tree.sample(trials, 5)) for _ in range(2))
+
+    half = TREE_CHUNK // 2
+    assert (lowest_peak(TREE_CHUNK) - lowest_peak(half)) / (TREE_CHUNK - half) <= 36
+
+
 class _Fixed:
     """A stream whose every draw is ``u``; counts the draws taken."""
 
