@@ -43,14 +43,13 @@ class BellLabel(Enum):
 
 _LABEL_INDEX = {label: k for k, label in enumerate(BellLabel)}
 
-_BELL_AMPLITUDES = {
-    BellLabel.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) * _SQRT2_INV,
-    BellLabel.PHI_MINUS: np.array([1, 0, 0, -1], dtype=complex) * _SQRT2_INV,
-    BellLabel.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) * _SQRT2_INV,
-    BellLabel.PSI_MINUS: np.array([0, 1, -1, 0], dtype=complex) * _SQRT2_INV,
-}
-for _amps in _BELL_AMPLITUDES.values():
-    _amps.setflags(write=False)
+# the four Bell states, built once at import (immutable, so shared)
+_BELL_STATES = MappingProxyType({
+    BellLabel.PHI_PLUS: StateVector(2, np.array([1, 0, 0, 1], dtype=complex) * _SQRT2_INV),
+    BellLabel.PHI_MINUS: StateVector(2, np.array([1, 0, 0, -1], dtype=complex) * _SQRT2_INV),
+    BellLabel.PSI_PLUS: StateVector(2, np.array([0, 1, 1, 0], dtype=complex) * _SQRT2_INV),
+    BellLabel.PSI_MINUS: StateVector(2, np.array([0, 1, -1, 0], dtype=complex) * _SQRT2_INV),
+})
 
 # (m, n) = (S_zz outcome, S_xx outcome) <-> Bell label, a bijection.
 _CLASSIFY = {
@@ -64,7 +63,7 @@ _OUTCOME_PAIR = {label: pair for pair, label in _CLASSIFY.items()}
 
 def bell_state(label: BellLabel) -> StateVector:
     """The Bell state for ``label``, first nonzero amplitude real positive."""
-    return StateVector(2, _BELL_AMPLITUDES[label])
+    return _BELL_STATES[label]
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ def to_bell(s: StateVector) -> BellCoefficients:
 def from_bell(c: BellCoefficients) -> StateVector:
     """Reassemble the state c1|Phi+> + c2|Phi-> + c3|Psi+> + c4|Psi->."""
     amps = sum(
-        coeff * _BELL_AMPLITUDES[label]
+        coeff * _BELL_STATES[label].amplitudes
         for coeff, label in zip(c.as_tuple(), BellLabel)
     )
     return StateVector(2, amps)

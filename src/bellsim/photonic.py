@@ -32,7 +32,7 @@ import numpy as np
 
 from .bellcore import BellLabel, bell_state, classify
 from .measure import RngStream, _choose_outcome
-from .qstate import CNOT, HADAMARD, StateVector, _apply_matrix, bit_of, computational_state, tensor
+from .qstate import HADAMARD, StateVector, _axis_orders, bit_of, computational_state
 
 N_QUBITS = 6
 
@@ -77,11 +77,36 @@ class DetectorIndex:
         return 1 - 2 * (self.port & 1)
 
 
-def _optical_block(amps: np.ndarray, reg: PhotonRegister) -> np.ndarray:
-    """PBS(Z), HWP, PBS(X) on one photon's qubits of the register amplitudes."""
-    amps = _apply_matrix(amps, N_QUBITS, CNOT, (reg.polarization, reg.path_z))
-    amps = _apply_matrix(amps, N_QUBITS, HADAMARD, (reg.polarization,))
-    return _apply_matrix(amps, N_QUBITS, CNOT, (reg.polarization, reg.path_x))
+def _cnot_gather(control: int, target: int) -> np.ndarray:
+    """CNOT(control -> target) on the register as a gather: ``amps[g]`` is the gate applied."""
+    index = np.arange(1 << N_QUBITS)
+    return index ^ (((index >> (N_QUBITS - 1 - control)) & 1) << (N_QUBITS - 1 - target))
+
+
+def _gather_plan(block_order) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three gathers around the Hadamards of the two optical blocks.
+
+    Each Hadamard acts on the register with its polarization moved to the
+    front axis, the ``(2, 32)`` layout ``_apply_matrix`` hands to the matmul,
+    so it rounds as the gate does. The CNOTs and axis moves between two
+    Hadamards only permute amplitudes, so they compose into one index array.
+    """
+    plan, pending = [], np.arange(1 << N_QUBITS)
+    for reg in block_order:
+        perm, _ = _axis_orders(N_QUBITS, (reg.polarization,))
+        to_front = np.arange(1 << N_QUBITS).reshape((2,) * N_QUBITS).transpose(perm).reshape(-1)
+        plan.append(pending[_cnot_gather(reg.polarization, reg.path_z)][to_front])
+        pending = np.argsort(to_front)[_cnot_gather(reg.polarization, reg.path_x)]
+    plan.append(pending)
+    for gather in plan:
+        gather.setflags(write=False)
+    return tuple(plan)
+
+
+# block order -> its gather plan, built once (read-only, so shared)
+_PLANS = {order: _gather_plan(order) for order in ((REGISTER_A, REGISTER_B), (REGISTER_B, REGISTER_A))}
+# the two local path qubits start in |00>
+_TAIL = computational_state("00").amplitudes
 
 
 def build_photonic_run(s: StateVector, block_order=(REGISTER_A, REGISTER_B)) -> StateVector:
@@ -93,12 +118,15 @@ def build_photonic_run(s: StateVector, block_order=(REGISTER_A, REGISTER_B)) -> 
     """
     if s.n_qubits != 2:
         raise ValueError("expected a 2-qubit polarization state")
-    if len(block_order) != 2 or set(block_order) != {REGISTER_A, REGISTER_B}:
+    plan = _PLANS.get(tuple(block_order))
+    if plan is None:
         raise ValueError("block_order must be a permutation of (REGISTER_A, REGISTER_B)")
-    amps = tensor(tensor(s, bell_state(BellLabel.PHI_PLUS)), computational_state("00")).amplitudes
-    for reg in block_order:
-        amps = _optical_block(amps, reg)
-    return StateVector(N_QUBITS, amps)
+    first, middle, last = plan
+    meter = bell_state(BellLabel.PHI_PLUS).amplitudes
+    amps = np.multiply.outer(np.multiply.outer(s.amplitudes, meter).ravel(), _TAIL).ravel()
+    amps = HADAMARD @ amps[first].reshape(2, -1)
+    amps = HADAMARD @ amps.reshape(-1)[middle].reshape(2, -1)
+    return StateVector(N_QUBITS, amps.reshape(-1)[last])
 
 
 def detect(final: StateVector, rng: RngStream) -> tuple[DetectorIndex, DetectorIndex]:

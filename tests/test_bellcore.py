@@ -15,7 +15,7 @@ from bellsim.bellcore import (
     spin_product,
     to_bell,
 )
-from bellsim.qstate import PAULIS, computational_state, haar_random_state, inner, states_equal
+from bellsim.qstate import PAULIS, StateVector, computational_state, haar_random_state, inner, states_equal
 
 SQ2 = 1.0 / np.sqrt(2.0)
 AXES = ("x", "y", "z")
@@ -25,6 +25,22 @@ LABELS = list(BellLabel)
 def test_bell_state_vectors():
     np.testing.assert_allclose(bell_state(BellLabel.PHI_PLUS).amplitudes, [SQ2, 0, 0, SQ2], atol=1e-15)
     np.testing.assert_allclose(bell_state(BellLabel.PSI_MINUS).amplitudes, [0, SQ2, -SQ2, 0], atol=1e-15)
+
+
+def test_bell_states_are_built_once(monkeypatch):
+    for label in LABELS:
+        assert bell_state(label) is bell_state(label)
+        assert not bell_state(label).amplitudes.flags.writeable
+    s = haar_random_state(2, np.random.default_rng(3))
+    expected = to_bell(s)
+
+    def rebuilt(self):
+        raise AssertionError("Bell state rebuilt per call")
+
+    monkeypatch.setattr(StateVector, "__post_init__", rebuilt)
+    for label in LABELS:
+        bell_state(label)
+    assert to_bell(s) == expected
 
 
 def test_bell_basis_orthonormal():

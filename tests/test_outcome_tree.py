@@ -147,7 +147,8 @@ def test_sampling_memory_does_not_grow_with_trials(scheme):
     many = 10 * TREE_CHUNK + 3
     tree.sample(many, 5)  # builds every second stage a trial reaches
     gc.collect()
-    one_chunk = _heap_peak(lambda: tree.sample(TREE_CHUNK, 5))
+    # the lower of two: the first traced call after the warm-up reads a few hundred bytes high
+    one_chunk = min(_heap_peak(lambda: tree.sample(TREE_CHUNK, 5)) for _ in range(2))
     assert _heap_peak(lambda: tree.sample(many, 5)) <= one_chunk + 512
 
 

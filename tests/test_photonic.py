@@ -3,8 +3,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellsim.bellcore import BellLabel, bell_state, classify, to_bell
+from bellsim.cli import resolve_state
 from bellsim.measure import RngStream
 from bellsim.photonic import (
     REGISTER_A,
@@ -17,7 +20,7 @@ from bellsim.photonic import (
     port_probabilities,
 )
 from bellsim.protocols import analytic_label_distribution, outcome_distribution
-from bellsim.qstate import bit_of, computational_state, haar_random_state
+from bellsim.qstate import CNOT, HADAMARD, _apply_matrix, bit_of, computational_state, haar_random_state, tensor
 
 
 def test_register_layout():
@@ -138,6 +141,37 @@ def test_photonic_matches_abstract_scheme_analytically():
             label_distribution(s), analytic_label_distribution(s, "scheme_a"), atol=1e-12
         )
         np.testing.assert_allclose(label_distribution(s), to_bell(s).probabilities(), atol=1e-12)
+
+
+def _gate_by_gate(s, block_order):
+    """Reference build: the register pushed through each photon's gate list, one gate at a time."""
+    amps = tensor(tensor(s, bell_state(BellLabel.PHI_PLUS)), computational_state("00")).amplitudes
+    for reg in block_order:
+        amps = _apply_matrix(amps, 6, CNOT, (reg.polarization, reg.path_z))  # PBS(Z)
+        amps = _apply_matrix(amps, 6, HADAMARD, (reg.polarization,))  # HWP
+        amps = _apply_matrix(amps, 6, CNOT, (reg.polarization, reg.path_x))  # PBS(X)
+    return amps
+
+
+NEAR_FLOOR, LEADING_MINUS = (resolve_state(spec, seed=0)[0] for spec in ("1,0,1.5e-6,2.5e-8", "-0.6,0.8i,0,0"))
+NAMED_INPUTS = [bell_state(label) for label in BellLabel] + [
+    computational_state(bits) for bits in ("00", "01", "10", "11")
+] + [NEAR_FLOOR, LEADING_MINUS]
+
+
+@given(
+    s=st.one_of(
+        st.sampled_from(NAMED_INPUTS),
+        st.integers(0, 2**32 - 1).map(lambda seed: haar_random_state(2, np.random.default_rng(seed))),
+    ),
+)
+@settings(max_examples=200, deadline=None)
+@example(s=NEAR_FLOOR)
+@example(s=LEADING_MINUS)
+def test_build_replays_the_gate_circuit(s):
+    # the gather plan is the gate circuit bit for bit, signed zeros included
+    for order in ((REGISTER_A, REGISTER_B), (REGISTER_B, REGISTER_A)):
+        assert build_photonic_run(s, block_order=order).amplitudes.tobytes() == _gate_by_gate(s, order).tobytes()
 
 
 def test_optical_block_order_is_irrelevant():

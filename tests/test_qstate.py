@@ -84,6 +84,13 @@ def test_make_state_divides_by_norm_near_one():
     s = make_state(raw)
     assert not s.renormalized
     np.testing.assert_array_equal(s.amplitudes, raw / np.linalg.norm(raw))
+    # a Haar state is its Gaussian draw over np.linalg.norm, bit for bit
+    for n_qubits in (1, 2, 3):
+        for seed in range(8):
+            gen = np.random.default_rng(seed)
+            amps = gen.standard_normal(1 << n_qubits) + 1j * gen.standard_normal(1 << n_qubits)
+            expected = (amps / np.linalg.norm(amps)).tobytes()
+            assert haar_random_state(n_qubits, np.random.default_rng(seed)).amplitudes.tobytes() == expected
 
 
 def test_make_state_bad_dimension():
@@ -233,7 +240,14 @@ def test_pauli_algebra():
     np.testing.assert_allclose(PAULI_Z @ PAULI_X, 1j * PAULI_Y, atol=1e-15)
 
 
-def test_phase_canonical_and_states_equal():
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-6, 1e-3),
+    up_to_phase=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+@example(seed=0, scale=1e-3, up_to_phase=False)
+def test_phase_canonical_and_states_equal(seed, scale, up_to_phase):
     rng = np.random.default_rng(37)
     s = haar_random_state(2, rng)
     rotated = StateVector(2, s.amplitudes * np.exp(1j * 1.234))
@@ -243,3 +257,12 @@ def test_phase_canonical_and_states_equal():
     pivot = canon.amplitudes[np.flatnonzero(np.abs(canon.amplitudes) > 1e-9)[0]]
     assert pivot.imag == pytest.approx(0.0, abs=1e-12)
     assert pivot.real > 0
+    # states_equal is np.allclose (rtol 1e-5) just below, at and just above its tolerance
+    gen = np.random.default_rng(seed)
+    a = haar_random_state(2, gen)
+    b = make_state(a.amplitudes + scale * (gen.standard_normal(4) + 1j * gen.standard_normal(4)))
+    x, y = (phase_canonical(a), phase_canonical(b)) if up_to_phase else (a, b)
+    edge = max(0.0, float(np.max(np.abs(x.amplitudes - y.amplitudes) - 1e-5 * np.abs(y.amplitudes))))
+    for atol in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+        expected = np.allclose(x.amplitudes, y.amplitudes, atol=atol)
+        assert states_equal(a, b, atol=atol, up_to_phase=up_to_phase) is expected
