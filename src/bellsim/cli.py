@@ -123,9 +123,11 @@ def _run_trials(state, config: RunConfig):
 
 
 def _writable(path: str) -> bool:
-    """Whether ``path`` can take the trace: a writable file, or a new name in a writable directory."""
-    target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
-    return path != "" and not os.path.isdir(path) and os.access(target, os.W_OK)
+    """Whether ``path`` can take the trace: a writable file, or a new file name in a writable directory."""
+    if os.path.exists(path):
+        return not os.path.isdir(path) and os.access(path, os.W_OK)
+    parent = os.path.dirname(os.path.abspath(path))
+    return os.path.basename(path) != "" and os.path.isdir(parent) and os.access(parent, os.W_OK)
 
 
 def _write_first_trial_trace(runner, state, config: RunConfig) -> None:

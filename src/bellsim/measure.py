@@ -64,13 +64,11 @@ def _mix64(x: int) -> int:
 _MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)  # _mix64's multipliers
 
 
-def _mix64_array(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _mix64_array(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """:func:`_mix64` in place on a ``uint64`` array (array arithmetic wraps without warning).
 
-    ``scratch``, like ``x``, takes each shifted word; without it one is allocated.
+    ``scratch``, like ``x``, takes each shifted word.
     """
-    if scratch is None:
-        scratch = np.empty_like(x)
     np.right_shift(x, 30, out=scratch)
     x ^= scratch
     x *= _MIX_A
@@ -83,7 +81,10 @@ def _mix64_array(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray
 
 
 def _keyed_draws(keys: np.ndarray, counter: int, word: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """:func:`keyed_uniforms` written into ``word`` and returned as its ``float64`` view."""
+    """Draw ``counter`` (1-based) of the streams with these keys, as ``uniform()`` makes it.
+
+    Written into ``word`` and returned as its ``float64`` view.
+    """
     np.add(keys, np.uint64(counter * _GOLDEN & _MASK64), out=word)
     _mix64_array(word, scratch)
     word >>= 11
@@ -93,9 +94,11 @@ def _keyed_draws(keys: np.ndarray, counter: int, word: np.ndarray, scratch: np.n
     return u
 
 
-def keyed_uniforms(keys: np.ndarray, counter: int) -> np.ndarray:
-    """Draw ``counter`` (1-based) of the streams with these keys, as ``uniform()`` makes it."""
-    return _keyed_draws(keys, counter, np.empty_like(keys), np.empty_like(keys))
+def _in_range(value, what: str) -> int:
+    """``value`` as an int; ``ValueError`` unless it is an integer in [0, 2**64), so no other value aliases it."""
+    if not isinstance(value, (int, np.integer)) or not 0 <= value <= _MASK64:
+        raise ValueError(f"{what} must be an integer in [0, 2**64)")
+    return int(value)
 
 
 class RngStream:
@@ -111,10 +114,8 @@ class RngStream:
     __slots__ = ("seed", "path", "counter", "_key")
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
-        if not 0 <= seed <= _MASK64:
-            raise ValueError("seed must be in [0, 2**64)")
-        self.seed = int(seed)
-        self.path = tuple(int(p) for p in _path)
+        self.seed = _in_range(seed, "seed")
+        self.path = _path
         self.counter = 0
         key = _mix64(self.seed)
         for p in self.path:
@@ -127,17 +128,10 @@ class RngStream:
         return (_mix64(self._key + self.counter * _GOLDEN) >> 11) * _DRAW_SCALE
 
     def substream(self, index: int) -> "RngStream":
-        if not 0 <= index <= _MASK64:
-            raise ValueError("substream index must be in [0, 2**64)")
-        return RngStream(self.seed, self.path + (index,))
-
-    def substream_keys(self, start: int, stop: int) -> np.ndarray:
-        """Keys of ``substream(i)`` for i in [start, stop), a ``uint64`` array for :func:`keyed_uniforms`."""
-        keys = np.empty(stop - start, np.uint64)
-        return self._keys_into(start, keys, np.empty_like(keys))
+        return RngStream(self.seed, self.path + (_in_range(index, "substream index"),))
 
     def _keys_into(self, start: int, keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """:meth:`substream_keys` from ``start``, as many as ``keys`` holds, written into it."""
+        """Keys of ``substream(i)`` from i = ``start``, as many as ``keys`` holds, written into it for :func:`_keyed_draws`."""
         np.multiply(np.arange(start + 1, start + 1 + keys.size, dtype=np.uint64), np.uint64(_GOLDEN), out=keys)
         keys += np.uint64(self._key)
         return _mix64_array(keys, scratch)
@@ -243,15 +237,6 @@ class FloorRule(NamedTuple):
         k = weights.size
         kept = np.where(dead | ~self.draws[row], weights.argmax(), np.arange(k))
         self.kept[row * k:row * k + k] = row * k + kept
-
-    def pick(self, rows, u: np.ndarray) -> np.ndarray:
-        """The branch of row ``rows[k]`` that uniform ``u[k]`` selects; an int ``rows`` is one row for all."""
-        u, scratch = np.array(u, float), np.empty(len(u), np.uint64)
-        if isinstance(rows, int):
-            leaf = self.leaves_in_row(rows, u, scratch)
-        else:
-            leaf = self.leaves_by_row(np.array(rows, np.intp), u, scratch, np.empty((2, u.size), np.uint8))
-        return leaf % self.cdf.shape[1]
 
     def leaves_in_row(self, row: int, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """A new array of the leaves that draws ``u`` (scaled in place) select in one row."""

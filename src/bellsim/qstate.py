@@ -159,21 +159,13 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.n_qubits + b.n_qubits, amps)
 
 
-_AXIS_ORDER_CACHE: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-
 def _axis_orders(n: int, targets: tuple[int, ...]):
-    """Permutations moving ``targets`` to the front and back again (cached)."""
-    key = (n, targets)
-    hit = _AXIS_ORDER_CACHE.get(key)
-    if hit is None:
-        perm = list(targets) + [i for i in range(n) if i not in targets]
-        inv = [0] * n
-        for position, axis in enumerate(perm):
-            inv[axis] = position
-        hit = (tuple(perm), tuple(inv))
-        _AXIS_ORDER_CACHE[key] = hit
-    return hit
+    """Permutations moving ``targets`` to the front and back again."""
+    perm = list(targets) + [i for i in range(n) if i not in targets]
+    inv = [0] * n
+    for position, axis in enumerate(perm):
+        inv[axis] = position
+    return perm, inv
 
 
 def _apply_matrix(amps: np.ndarray, n: int, u: np.ndarray, targets) -> np.ndarray:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -326,15 +327,17 @@ def test_emit_trace_writes_jsonl(capsys, tmp_path):
         assert {"step", "party", "op", "qubits"} <= set(event)
 
 
-@pytest.mark.parametrize("where", ["missing/t.jsonl", ".", ""])
+@pytest.mark.parametrize("where", ["missing/t.jsonl", ".", "", "somefile/t.jsonl", "newdir/"])
 def test_emit_trace_unwritable_path_exits_two_before_sampling(capsys, monkeypatch, tmp_path, where):
     def must_not_sample(*args, **kwargs):
         raise AssertionError("sampled before the trace path was checked")
 
+    (tmp_path / "somefile").write_text("")
     monkeypatch.setattr(cli, "_run_trials", must_not_sample)
     code, out, err = run_cli(
         capsys, "run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", "3",
-        "--emit-trace", where and str(tmp_path / where),  # "" stays the empty path
+        # "" stays the empty path; os.path.join keeps a trailing separator
+        "--emit-trace", where and os.path.join(tmp_path, where),
     )
     assert code == 2
     assert out == "" and "emit-trace" in err and "not writable" in err

@@ -45,6 +45,7 @@ def test_rng_substreams_deterministic_and_distinct():
     again = {i: RngStream(99).substream(i).uniform() for i in range(16)}
     assert draws == again
     assert len(set(draws.values())) == 16
+    assert RngStream(np.uint64(99)).substream(np.int64(3)).uniform() == draws[3]
 
 
 @pytest.mark.parametrize("make", [
@@ -52,9 +53,11 @@ def test_rng_substreams_deterministic_and_distinct():
     lambda: RngStream(2**64),
     lambda: RngStream(0).substream(-1),
     lambda: RngStream(0).substream(2**64),
+    lambda: RngStream(1.5),
+    lambda: RngStream(0).substream(2.7),
 ])
 def test_rng_stream_rejects_out_of_range_seeds_and_indices(make):
-    # no aliasing: -1 is not 2**64 - 1 and 2**64 is not 0
+    # no aliasing: -1 is not 2**64 - 1, 2**64 is not 0 and 1.5 is not 1
     with pytest.raises(ValueError, match=r"in \[0, 2\*\*64\)"):
         make()
 

@@ -24,7 +24,6 @@ from bellsim.measure import (
     _keyed_draws,
     _mix64,
     _mix64_array,
-    keyed_uniforms,
     local_product_measurement,
 )
 from bellsim.protocols import SCHEMES, TREE_CHUNK, OutcomeTree, _spin_product_tree, iterate_runs, outcome_distribution
@@ -95,14 +94,17 @@ def test_outcome_tree_matches_the_scalar_runners(s, scheme, trials, seed):
 @given(seed=SEEDS, start=st.integers(0, 2**40), size=st.integers(1, 5), counter=st.integers(1, 4))
 @settings(max_examples=100, deadline=None)
 @example(seed=2**64 - 1, start=2**64 - 6, size=5, counter=2)
-def test_keyed_uniforms_are_the_substream_draws(seed, start, size, counter):
+def test_keyed_draws_are_the_substream_draws(seed, start, size, counter):
+    """Keys and draws written over buffers of all-ones words, reused from one start to the next."""
     root = RngStream(seed)
-    batched = keyed_uniforms(root.substream_keys(start, start + size), counter)
-    expected = []
-    for t in range(start, start + size):
-        stream = root.substream(t)
-        expected.append([stream.uniform() for _ in range(counter)][-1])
-    assert batched.tolist() == expected
+    keys, word, scratch = np.full((3, size), 2**64 - 1, np.uint64)
+    for first in (start // 2, start):
+        batched = _keyed_draws(root._keys_into(first, keys, scratch), counter, word, scratch)
+        expected = []
+        for t in range(first, first + size):
+            stream = root.substream(t)
+            expected.append([stream.uniform() for _ in range(counter)][-1])
+        assert batched.tolist() == expected
 
 
 # buffers of 1, TREE_CHUNK and TREE_CHUNK + 1 words, with the edge words all
@@ -226,8 +228,12 @@ def test_floor_rule_replays_choose_outcome(weights, extra):
     one_row.set_row(0, weights)
     rows = FloorRule.empty(3, weights.size)
     rows.set_row(1, weights)
-    assert one_row.pick(0, u).tolist() == expected
-    assert rows.pick(np.ones(u.size, np.intp), u).tolist() == expected
+    # all-ones work buffers, shared by both paths: no stale word may reach a pick
+    scratch, flags = np.full(u.size, 2**64 - 1, np.uint64), np.ones((2, u.size), np.uint8)
+    assert one_row.leaves_in_row(0, u.copy(), scratch).tolist() == expected
+    leaf = np.ones(u.size, np.intp)
+    assert rows.leaves_by_row(leaf, u.copy(), scratch, flags) is leaf
+    assert (leaf - weights.size).tolist() == expected
     assert draws <= {int(one_row.draws[0])} and rows.draws.tolist() == [False, one_row.draws[0], False]
 
 

@@ -371,7 +371,7 @@ def test_draws_per_trial_are_pinned(scheme, kind):
             assert untraced == traced
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
 def test_library_rejects_out_of_range_seeds(seed):
     s = bell_state(BellLabel.PHI_PLUS)
     with pytest.raises(ValueError, match="seed"):
