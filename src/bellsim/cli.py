@@ -32,7 +32,7 @@ from .protocols import (
     analytic_label_distribution,
     get_scheme,
     iterate_runs,  # noqa: F401 -- perfbench/layers.py wraps it as a cli span
-    outcome_distribution,
+    outcome_distribution,  # noqa: F401 -- likewise; a run samples its own tree
     trace_to_jsonl,
 )
 from .qstate import fidelity, haar_random_state, make_state
@@ -112,12 +112,20 @@ def _chi_square(counts: dict, probs: np.ndarray, trials: int) -> float | None:
 
 
 def _run_trials(state, config: RunConfig):
-    """Sample all trials; for a Bell filter, the worst filter fidelity over the leaves reached."""
+    """Sample all trials on one tree; for a Bell filter, the worst filter fidelity over the leaves reached.
+
+    With ``emit_trace``, also write trial 0's trace, rendered from its leaf on that tree.
+    """
     scheme = get_scheme(config.scheme)
-    if not scheme.filters:
-        return outcome_distribution(state, config.scheme, config.trials, config.seed), None
     tree = OutcomeTree(state, scheme.tree)
     leaves = tree.sample(config.trials, config.seed)
+    if config.emit_trace:
+        trace = scheme.render(tree.walk(RngStream(config.seed).substream(0)))
+        with open(config.emit_trace, "w", encoding="utf-8") as fh:
+            fh.write(trace_to_jsonl(trace))
+            fh.write("\n")
+    if not scheme.filters:
+        return tree.label_counts(leaves), None
     worst = min(fidelity(post, bell_state(label)) for _, label, post in tree.reached(leaves))
     return tree.label_counts(leaves), worst
 
@@ -128,13 +136,6 @@ def _writable(path: str) -> bool:
         return not os.path.isdir(path) and os.access(path, os.W_OK)
     parent = os.path.dirname(os.path.abspath(path))
     return os.path.basename(path) != "" and os.path.isdir(parent) and os.access(parent, os.W_OK)
-
-
-def _write_first_trial_trace(runner, state, config: RunConfig) -> None:
-    result = runner(state, RngStream(config.seed).substream(0), record_trace=True)
-    with open(config.emit_trace, "w", encoding="utf-8") as fh:
-        fh.write(trace_to_jsonl(result.trace))
-        fh.write("\n")
 
 
 def _flatten(prefix: str, value, rows: list) -> None:
@@ -174,7 +175,7 @@ def cmd_run(config: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.emit_trace is not None and scheme.runner is None:
+    if config.emit_trace is not None and scheme.render is None:
         print("error: --emit-trace is only available for the protocol schemes", file=sys.stderr)
         return 2
     if config.emit_trace is not None and not _writable(config.emit_trace):
@@ -192,8 +193,6 @@ def cmd_run(config: RunConfig) -> int:
     try:
         analytic = analytic_label_distribution(state, config.scheme)
         counts, worst_fidelity = _run_trials(state, config)
-        if config.emit_trace:
-            _write_first_trial_trace(scheme.runner, state, config)
     except Exception as exc:  # invariant breach inside the run
         print(f"error: run failed: {exc}", file=sys.stderr)
         return 3

@@ -212,7 +212,7 @@ def _choose_outcome(weights: np.ndarray, rng: RngStream) -> int:
 
 
 class FloorRule(NamedTuple):
-    """:func:`_choose_outcome` on rows of Born weights, replayed on batches of draws.
+    """:func:`_choose_outcome` on rows of Born weights, replayed on batches of draws or on one stream.
 
     Branch j of row r is leaf r * k + j. The batch picks work in place on
     one-dimensional arrays the caller owns: numpy's broadcasting and
@@ -227,25 +227,32 @@ class FloorRule(NamedTuple):
 
     @classmethod
     def empty(cls, rows: int, k: int) -> "FloorRule":
-        """Rows that take branch 0 without a draw until :meth:`set_row` fills them."""
-        return cls(np.zeros(rows, bool), np.ones((rows, k)), np.arange(rows * k) // k * k)
+        """Tables for ``rows`` rows of ``k`` branches; a pick reads a row only after :meth:`set_row` fills it."""
+        return cls(np.zeros(rows, bool), np.ones((rows, k)), np.empty(rows * k, np.intp))
 
     def set_row(self, row: int, weights: np.ndarray) -> None:
-        dead = weights <= PROB_FLOOR
-        self.draws[row] = np.count_nonzero(~dead) > 1
+        """Fill one row from its weights; pure Python, as in :func:`_choose_outcome`, since rows are short."""
+        w = weights.tolist()
+        live = [x > PROB_FLOOR for x in w]
+        draws = self.draws[row] = live.count(True) > 1
         self.cdf[row] = weights.cumsum()
-        k = weights.size
-        kept = np.where(dead | ~self.draws[row], weights.argmax(), np.arange(k))
-        self.kept[row * k:row * k + k] = row * k + kept
+        first = row * len(w)
+        top = first + w.index(max(w))
+        self.kept[first:first + len(w)] = [first + j if draws and alive else top for j, alive in enumerate(live)]
+
+    def choose(self, row: int, rng: RngStream) -> int:
+        """:func:`_choose_outcome` on one row for one stream: the leaf it keeps, drawing only if the row draws."""
+        leaf = row * self.cdf.shape[1]
+        if self.draws[row]:
+            cdf = self.cdf[row]
+            leaf += bisect_right(cdf, rng.uniform() * cdf[-1])
+        return int(self.kept[leaf])
 
     def leaves_in_row(self, row: int, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """A new array of the leaves that draws ``u`` (scaled in place) select in one row."""
+        """A new array of the leaves that draws ``u`` (scaled in place) select in a first row (``row`` 0)."""
         cdf = self.cdf[row]
         u *= cdf[-1]
-        leaf = cdf.searchsorted(u, side="right")
-        if row:
-            leaf += row * cdf.size
-        return self.keep(leaf, scratch)
+        return self.keep(cdf.searchsorted(u, side="right"), scratch)
 
     def leaves_by_row(self, leaf: np.ndarray, u: np.ndarray, scratch: np.ndarray, flags: np.ndarray) -> np.ndarray:
         """In place: each row in ``leaf`` becomes the leaf its draw in ``u`` (scaled in place) selects.
@@ -413,14 +420,18 @@ def get_strategy(name: str) -> Strategy:
         raise ValueError(f"unknown strategy {name!r}") from None
 
 
+def _branch_record(sp: SpinProduct, strategy: str, index: int) -> MeasurementRecord:
+    """The record of a spin-product measurement that took branch ``index``, 2 * bit(z_A) + bit(z_B)."""
+    return MeasurementRecord(sp.name, strategy, (1 - 2 * (index >> 1), 1 - 2 * (index & 1)))
+
+
 def _product_measurement(s: StateVector, sp: SpinProduct, rng: RngStream, strategy: str):
     """Draw one branch of a spin-product measurement and record its readouts."""
     if s.n_qubits != 2:
         raise ValueError("expected a 2-qubit state")
     weights, post_of = STRATEGIES[strategy].branches(s.amplitudes, sp)
     index = _choose_outcome(weights, rng)
-    readouts = (1 - 2 * (index >> 1), 1 - 2 * (index & 1))
-    return MeasurementRecord(sp.name, strategy, readouts), _wrap(2, post_of(index))
+    return _branch_record(sp, strategy, index), _wrap(2, post_of(index))
 
 
 def local_product_measurement(s: StateVector, sp: SpinProduct, rng: RngStream):

@@ -10,8 +10,10 @@ the ebits they spent and returns a :class:`ProtocolResult` with the outcome
 pair (m, n), the Bell label and the ledger. When asked, it then renders the
 run's event trace from the readouts: local operations, measurements and the
 symmetric exchange of outcome bits (``send`` events), after which each party
-derives the result. :func:`locc_audit` checks a trace for locality
-violations. :class:`OutcomeTree` samples untraced runs in batches.
+derives the result. A row's ``render`` draws the same trace from a leaf of
+the scheme's outcome tree. :func:`locc_audit` checks a trace for locality
+violations. :class:`OutcomeTree` samples untraced runs: a few trial by
+trial, more in batches.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ from .measure import (
     FloorRule,
     MeasurementRecord,
     RngStream,
+    _branch_record,
     _keyed_draws,
     _z_branches,
     local_product_measurement,
@@ -61,8 +64,7 @@ _SYSTEM_PARTIES = (Party(ALICE, frozenset({_SYSTEM_A})), Party(BOB, frozenset({_
 _EXTENDED_PARTIES = (Party(ALICE, frozenset({_SYSTEM_A, _METER_A})), Party(BOB, frozenset({_SYSTEM_B, _METER_B})))
 
 
-@dataclass(frozen=True)
-class ClassicalMessage:
+class ClassicalMessage(NamedTuple):
     """A classical payload (named +-1 bits only, never amplitudes)."""
 
     sender: str
@@ -84,8 +86,7 @@ class ResourceLedger:
         self.ebits_consumed += n
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One protocol event: a local op, a measurement or a classical message."""
 
     step: str
@@ -232,6 +233,27 @@ def _render_spin_products(szz: MeasurementRecord, sxx: MeasurementRecord) -> tup
         *_RENDER_STAGE[szz.strategy]("szz", _SZZ, szz),
         *_RENDER_STAGE[sxx.strategy]("sxx", _SXX, sxx),
     )
+
+
+# A scheme's render(leaf) is the trace of the run that reached ``leaf``, (i, j)
+# as OutcomeTree numbers it: the first and the second stage's branch.
+
+
+def _render_fig1_leaf(leaf) -> tuple[TraceEvent, ...]:
+    """fig1's readout bits of Alice's and Bob's wire, as :func:`run_fig1` reads them out."""
+    bit_a, bit_b = leaf
+    z_a, z_b = 1 - 2 * bit_a, 1 - 2 * bit_b
+    return _render_fig1(z_a, z_b, classify(z_b, z_a))
+
+
+def _spin_product_render(first: str, second: str):
+    """The S_zz and S_xx readout indices, recorded as the ``first`` and ``second`` strategy record them."""
+
+    def render(leaf) -> tuple[TraceEvent, ...]:
+        i, j = leaf
+        return _render_spin_products(_branch_record(_SZZ, first, i), _branch_record(_SXX, second, j))
+
+    return render
 
 
 # --- Runners: the physics of one run, then its trace if asked for ----------------
@@ -465,8 +487,9 @@ class Scheme(NamedTuple):
     """One route to the Bell measurement."""
 
     ebits_per_run: int
-    # per-trial runner, which renders a trace from its readouts; None for the photonic model
+    # per-trial runner on the kernels, which renders a trace from its readouts; None for the photonic model
     runner: Callable[..., ProtocolResult] | None
+    render: Callable | None  # leaf of the tree -> the trace of a run that reached it; None for the photonic model
     tree: Callable  # s -> (first-stage weights, child, labels), as above
     analytic: Callable  # s -> label probabilities in label order, along the route's own algebra
     # a Bell filter: the post-state is the labelled Bell state, so a run reports its fidelity
@@ -475,10 +498,16 @@ class Scheme(NamedTuple):
 
 # The photonic run spends its path-entangled pair: the same one-ebit meter.
 SCHEMES = {
-    "fig1": Scheme(0, run_fig1, _fig1_tree, _fig1_analytic, False),
-    "scheme_a": Scheme(1, run_scheme_a, _spin_product_tree(NONLOCAL, LOCAL), _scheme_a_analytic, False),
-    "scheme_b": Scheme(2, run_scheme_b, _spin_product_tree(NONLOCAL, NONLOCAL), _scheme_b_analytic, True),
-    "photonic": Scheme(1, None, _photonic_tree, photonic.label_distribution, False),
+    "fig1": Scheme(0, run_fig1, _render_fig1_leaf, _fig1_tree, _fig1_analytic, False),
+    "scheme_a": Scheme(
+        1, run_scheme_a, _spin_product_render(NONLOCAL, LOCAL), _spin_product_tree(NONLOCAL, LOCAL),
+        _scheme_a_analytic, False,
+    ),
+    "scheme_b": Scheme(
+        2, run_scheme_b, _spin_product_render(NONLOCAL, NONLOCAL), _spin_product_tree(NONLOCAL, NONLOCAL),
+        _scheme_b_analytic, True,
+    ),
+    "photonic": Scheme(1, None, None, _photonic_tree, photonic.label_distribution, False),
 }
 
 
@@ -513,6 +542,13 @@ def iterate_runs(s: StateVector, scheme: str, trials: int, seed: int):
 # 64, 35.6 KB at 128, 36.7 KB at 192 and 38.9 KB at 256; 192 stays within 2 %
 # of the 36.1 KB at 64 of a tree that also kept every stage's post-states.
 TREE_CHUNK = 192
+# Runs of fewer trials are walked trial by trial (OutcomeTree.walk): a walked
+# trial costs 6-12 us, a run's first chunk 60-200 us whatever its size. Summed
+# over the four schemes, cli._run_trials is cheaper walked up to 8 trials,
+# within 2 % either way at 9 and cheaper chunked from 10 (photonic crosses
+# near 7, the others near 9-10; 2 cores, Python 3.11.7, numpy 2.4.6; the
+# sweeps are in BENCH_16.json).
+TREE_WALK = 9
 
 
 class OutcomeTree:
@@ -523,6 +559,8 @@ class OutcomeTree:
     the second, none for a stage with one live branch (:class:`FloorRule`).
     A second stage's weights are built when a trial first reaches them.
     ``build`` is a tree builder of the shape above, such as a scheme's ``tree``.
+    A leaf is (i, j): branch i of the first stage, then branch j of the
+    second (0 when there is none), the index of ``labels`` it names.
     """
 
     def __init__(self, s: StateVector, build: Callable):
@@ -535,13 +573,35 @@ class OutcomeTree:
             self._second_draws = False  # a second stage built so far takes a draw
             self._unbuilt = set(self._first.kept.tolist())
 
+    def walk(self, rng: RngStream) -> tuple[int, int]:
+        """The leaf that the run drawing on ``rng`` reaches: one trial of :meth:`sample`, as the runner draws it."""
+        i = self._first.choose(0, rng)
+        if not self._child:
+            return i, 0
+        self._reach(i)
+        return divmod(self._second.choose(i, rng), self.labels.shape[1])
+
     def sample(self, trials: int, seed: int) -> np.ndarray:
         """Leaf histogram of ``trials`` runs; trial t draws from ``RngStream(seed).substream(t)``.
+
+        Fewer than :data:`TREE_WALK` trials are walked one by one; more are
+        replayed in chunks of :data:`TREE_CHUNK`.
+        """
+        root = RngStream(seed)
+        if trials < TREE_WALK:
+            leaves = np.zeros(self.labels.shape, np.int64)
+            for t in range(trials):
+                leaves[self.walk(root.substream(t))] += 1
+            return leaves
+        return self._chunks(root, trials)
+
+    def _chunks(self, root: RngStream, trials: int) -> np.ndarray:
+        """:meth:`sample` in chunks.
 
         Each chunk works in the same few buffers: the substream keys, the
         draw word (read as the float draws), a scratch word, a byte count and a byte mask.
         """
-        root, size = RngStream(seed), min(TREE_CHUNK, trials)
+        size = min(TREE_CHUNK, trials)
         words, flags = np.empty((3, size), np.uint64), np.empty((2, size), np.uint8)
         leaves = np.zeros(self.labels.size, dtype=np.int64)
         for start in range(0, trials, TREE_CHUNK):
@@ -564,15 +624,20 @@ class OutcomeTree:
         if self._unbuilt:
             hit = np.bincount(leaf, minlength=len(self.labels))
             for i in [i for i in self._unbuilt if hit[i]]:
-                self._second.set_row(i, self._child(i)[0])
-                self._second_draws |= bool(self._second.draws[i])
-                self._unbuilt.discard(i)
+                self._reach(i)
         if not self._second_draws:  # every row reached keeps its heaviest branch
             leaf *= self.labels.shape[1]
             return self._second.keep(leaf, scratch)
         if not first_draws:
             root._keys_into(start, keys, scratch)
         return self._second.leaves_by_row(leaf, _keyed_draws(keys, 1 + first_draws, word, scratch), scratch, flags)
+
+    def _reach(self, i: int) -> None:
+        """Build the second stage after first-stage branch ``i`` when a trial first reaches it."""
+        if i in self._unbuilt:
+            self._second.set_row(i, self._child(i)[0])
+            self._second_draws |= bool(self._second.draws[i])
+            self._unbuilt.discard(i)
 
     def label_counts(self, leaves: np.ndarray) -> dict:
         """Histogram over the four Bell labels of a leaf histogram."""

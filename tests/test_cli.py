@@ -352,14 +352,30 @@ def test_emit_trace_unsupported_for_photonic(capsys, tmp_path):
     assert "emit-trace" in err
 
 
-def test_run_failure_exits_three(capsys, monkeypatch):
-    def explode(*args, **kwargs):
-        raise RuntimeError("norm drifted")
+def _explode(*args, **kwargs):
+    raise RuntimeError("norm drifted")
 
-    monkeypatch.setattr(cli, "outcome_distribution", explode)
-    code, _, err = run_cli(capsys, "run", "--scheme", "scheme_a", "--state", "PhiPlus", "--trials", "5")
+
+def test_run_failure_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(cli.OutcomeTree, "sample", _explode)
+    code, out, err = run_cli(capsys, "run", "--scheme", "scheme_a", "--state", "PhiPlus", "--trials", "5")
     assert code == 3
-    assert "norm drifted" in err
+    assert out == "" and "norm drifted" in err
+
+
+@pytest.mark.parametrize("where", ["render", "write"])
+def test_trace_failure_exits_three(capsys, monkeypatch, tmp_path, where):
+    """A trace that cannot be rendered or written fails the run: exit 3, no report."""
+    if where == "render":
+        monkeypatch.setitem(SCHEMES, "fig1", SCHEMES["fig1"]._replace(render=_explode))
+    else:
+        monkeypatch.setattr(cli, "trace_to_jsonl", _explode)
+    code, out, err = run_cli(
+        capsys, "run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", "3",
+        "--emit-trace", str(tmp_path / "t.jsonl"),
+    )
+    assert code == 3
+    assert out == "" and "norm drifted" in err
 
 
 def test_chi_square_zero_probability_branch(capsys):

@@ -26,11 +26,21 @@ from bellsim.measure import (
     _mix64_array,
     local_product_measurement,
 )
-from bellsim.protocols import SCHEMES, TREE_CHUNK, OutcomeTree, _spin_product_tree, iterate_runs, outcome_distribution
+from bellsim.protocols import (
+    SCHEMES,
+    TREE_CHUNK,
+    TREE_WALK,
+    OutcomeTree,
+    _spin_product_tree,
+    iterate_runs,
+    outcome_distribution,
+)
 from bellsim.qstate import fidelity, haar_random_state, make_state
 
 SEEDS = st.one_of(st.sampled_from([0, 7, 2**64 - 1]), st.integers(min_value=0, max_value=2**64 - 1))
-TRIALS = st.sampled_from([1, TREE_CHUNK - 1, TREE_CHUNK, TREE_CHUNK + 1, 3 * TREE_CHUNK + 5])
+# one trial and the sizes around the walk's crossover; then chunks: around one, and two with a short tail
+WALKED = [1, TREE_WALK - 1, TREE_WALK, TREE_WALK + 1]
+TRIALS = st.sampled_from([*WALKED, TREE_CHUNK - 1, TREE_CHUNK, TREE_CHUNK + 1, 2 * TREE_CHUNK + 3])
 # the weight of a third input coefficient: none, at, around or just above the floor
 NEAR_FLOOR = st.sampled_from(
     [0.0, PROB_FLOOR / 2, PROB_FLOOR, np.nextafter(PROB_FLOOR, 1.0), 2 * PROB_FLOOR, 2.5 * PROB_FLOOR, 1e-10]
@@ -82,13 +92,28 @@ def _reference(s, scheme, trials, seed):
 @given(s=STATES, scheme=st.sampled_from(list(SCHEMES)), trials=TRIALS, seed=SEEDS)
 @settings(max_examples=150, deadline=None)
 @example(s=_spec((0, 2, 1, 3), np.pi / 4, 0.0, True), scheme="fig1", trials=TREE_CHUNK + 1, seed=7)
-@example(s=_spec((3, 1, 0, 2), np.pi / 3, PROB_FLOOR, True), scheme="fig1", trials=3 * TREE_CHUNK + 5, seed=0)
+@example(s=_spec((3, 1, 0, 2), np.pi / 3, PROB_FLOOR, True), scheme="fig1", trials=2 * TREE_CHUNK + 3, seed=0)
 @example(s=_spec((0, 1, 2, 3), 0.0, 2 * PROB_FLOOR, False), scheme="scheme_b", trials=TREE_CHUNK, seed=2**64 - 1)
 def test_outcome_tree_matches_the_scalar_runners(s, scheme, trials, seed):
     counts, worst = _reference(s, scheme, trials, seed)
     assert outcome_distribution(s, scheme, trials, seed) == counts
     config = cli.RunConfig(scheme=scheme, state="-", trials=trials, seed=seed)
     assert cli._run_trials(s, config) == (counts, worst)  # fidelity compared with ==: bit-equal
+
+
+@given(s=STATES, scheme=st.sampled_from(list(SCHEMES)), trials=st.sampled_from(WALKED), seed=SEEDS)
+@settings(max_examples=150, deadline=None)
+@example(s=_spec((0, 2, 1, 3), np.pi / 4, 0.0, True), scheme="fig1", trials=TREE_WALK, seed=7)
+@example(s=_spec((0, 1, 2, 3), 0.0, 2 * PROB_FLOOR, False), scheme="scheme_b", trials=TREE_WALK - 1, seed=2**64 - 1)
+def test_walk_matches_the_chunks(s, scheme, trials, seed):
+    """Trial by trial, the walk reaches the leaves the chunks reach; each tree builds its second stages itself."""
+    walked, chunked = (OutcomeTree(s, SCHEMES[scheme].tree) for _ in range(2))
+    root = RngStream(seed)
+    leaves = np.zeros(walked.labels.shape, np.int64)
+    for t in range(trials):
+        leaves[walked.walk(root.substream(t))] += 1
+    assert chunked._chunks(root, trials).tolist() == leaves.tolist()
+    assert walked.sample(trials, seed).tolist() == leaves.tolist()  # on either side of TREE_WALK
 
 
 @given(seed=SEEDS, start=st.integers(0, 2**40), size=st.integers(1, 5), counter=st.integers(1, 4))
@@ -107,14 +132,28 @@ def test_keyed_draws_are_the_substream_draws(seed, start, size, counter):
         assert batched.tolist() == expected
 
 
-# buffers of 1, TREE_CHUNK and TREE_CHUNK + 1 words, with the edge words all
-# zeros, all ones and multiples of the key step of trial streams
+# edge words: all zeros, all ones and multiples of the key step of trial streams
 WORDS = st.one_of(
     st.sampled_from([0, 2**64 - 1]),
     st.integers(0, 4 * TREE_CHUNK).map(lambda k: k * _GOLDEN % 2**64),
     st.integers(0, 2**64 - 1),
 )
-BUFFERS = st.sampled_from([1, TREE_CHUNK, TREE_CHUNK + 1]).flatmap(lambda n: st.lists(WORDS, min_size=n, max_size=n))
+
+
+def _long_buffer(n, head, tail, fill_seed):
+    """``n`` words: Hypothesis words at both ends, seeded random words between."""
+    fill = np.random.default_rng(fill_seed).integers(0, 2**64, n - len(head) - len(tail), np.uint64)
+    return head + fill.tolist() + tail
+
+
+# buffers of 1, TREE_CHUNK and TREE_CHUNK + 1 words
+BUFFERS = st.one_of(
+    st.lists(WORDS, min_size=1, max_size=1),
+    st.builds(
+        _long_buffer, st.sampled_from([TREE_CHUNK, TREE_CHUNK + 1]),
+        st.lists(WORDS, max_size=4), st.lists(WORDS, max_size=4), st.integers(0, 2**32 - 1),
+    ),
+)
 
 
 @given(words=BUFFERS)
@@ -235,6 +274,28 @@ def test_floor_rule_replays_choose_outcome(weights, extra):
     assert rows.leaves_by_row(leaf, u.copy(), scratch, flags) is leaf
     assert (leaf - weights.size).tolist() == expected
     assert draws <= {int(one_row.draws[0])} and rows.draws.tolist() == [False, one_row.draws[0], False]
+
+
+@given(
+    weights=st.lists(st.one_of(SLIVERS, st.floats(0.01, 1.0)), min_size=2, max_size=64).filter(
+        lambda w: max(w) > PROB_FLOOR
+    ),
+    row=st.integers(0, 2),
+)
+@settings(max_examples=100, deadline=None)
+@example(weights=[0.5, PROB_FLOOR, 0.5], row=1)
+@example(weights=[1.0, PROB_FLOOR], row=2)
+def test_walked_pick_replays_choose_outcome(weights, row):
+    """The walk's one-stream pick agrees with ``_choose_outcome`` on draws on and beside every running sum."""
+    weights = np.array(weights)
+    cdf = np.cumsum(weights)
+    edges = [0.0, *(cdf[:-1] / cdf[-1])]
+    rule = FloorRule.empty(3, weights.size)
+    rule.set_row(row, weights)
+    for u in [v for edge in edges for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)) if 0.0 <= v < 1.0]:
+        expected, walked = _Fixed(float(u)), _Fixed(float(u))
+        assert rule.choose(row, walked) - row * weights.size == _choose_outcome(weights, expected)
+        assert walked.draws == expected.draws
 
 
 @given(s=STATES, trials=TRIALS, seed=SEEDS)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bellsim.bellcore import BellCoefficients, BellLabel, bell_state, from_bell, outcome_pair, to_bell
-from bellsim import photonic, protocols
+from bellsim import cli, photonic, protocols
 from bellsim.cli import resolve_state
 from bellsim.measure import RngStream
 from bellsim.protocols import (
@@ -16,6 +16,7 @@ from bellsim.protocols import (
     ProtocolResult,
     ResourceLedger,
     SCHEMES,
+    TREE_WALK,
     TraceEvent,
     analytic_label_distribution,
     fig1_unitary,
@@ -249,15 +250,35 @@ TRACE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("scheme", sorted(TRACE_DIGESTS))
-def test_traces_match_pinned_digests(scheme):
+def _digest_states():
+    """The inputs of the pinned trace digests."""
     states = [bell_state(label) for label in LABELS] + [haar_random_state(2, np.random.default_rng(83))]
     states.append(resolve_state("1,0,1.5e-6,2.5e-8", 0)[0])  # branches near PROB_FLOOR
+    return states
+
+
+@pytest.mark.parametrize("scheme", sorted(TRACE_DIGESTS))
+def test_traces_match_pinned_digests(scheme):
     digest = hashlib.sha256()
-    for s in states:
+    for s in _digest_states():
         for seed in range(64):
             result = SCHEMES[scheme].runner(s, RngStream(seed).substream(0), record_trace=True)
             digest.update(trace_to_jsonl(result.trace).encode() + b"\n")
+    assert digest.hexdigest()[:16] == TRACE_DIGESTS[scheme]
+
+
+@pytest.mark.parametrize("scheme", sorted(TRACE_DIGESTS))
+def test_emitted_leaf_traces_match_pinned_digests(scheme, tmp_path):
+    """The --emit-trace file of a run, trial 0 rendered from its leaf, is the runner's trace byte for byte.
+
+    Odd seeds run one trial (the walk), even seeds TREE_WALK trials (the chunks).
+    """
+    digest = hashlib.sha256()
+    for k, s in enumerate(_digest_states()):
+        for seed in range(64):
+            path, trials = tmp_path / f"{k}-{seed}.jsonl", 1 if seed % 2 else TREE_WALK
+            cli._run_trials(s, cli.RunConfig(scheme, "-", trials, seed, emit_trace=str(path)))
+            digest.update(path.read_bytes())
     assert digest.hexdigest()[:16] == TRACE_DIGESTS[scheme]
 
 
