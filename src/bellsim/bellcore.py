@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .qstate import ATOL, PAULIS, StateVector, inner
+from .qstate import ATOL, PAULIS, StateVector
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -95,7 +95,7 @@ def to_bell(s: StateVector) -> BellCoefficients:
     """Expand a 2-qubit state in the Bell basis."""
     if s.n_qubits != 2:
         raise ValueError("expected a 2-qubit state")
-    return BellCoefficients(*(inner(bell_state(label), s) for label in BellLabel))
+    return BellCoefficients(*(complex(np.vdot(bell.amplitudes, s.amplitudes)) for bell in _BELL_STATES.values()))
 
 
 def from_bell(c: BellCoefficients) -> StateVector:

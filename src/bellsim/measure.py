@@ -388,7 +388,7 @@ def _local_kraus(sp: SpinProduct) -> dict:
     u_a, u_b = BASIS_CHANGE[sp.i], BASIS_CHANGE[sp.j]
     for mu, col_a in ((+1, 0), (-1, 1)):
         for nu, col_b in ((+1, 0), (-1, 1)):
-            vec = np.kron(u_a.conj().T[:, col_a], u_b.conj().T[:, col_b])
+            vec = np.multiply.outer(u_a.conj().T[:, col_a], u_b.conj().T[:, col_b]).ravel()
             family[(mu, nu)] = np.outer(vec, vec.conj())
     return family
 
@@ -478,6 +478,6 @@ def povm_family(strategy: str, sp: SpinProduct) -> dict[int, np.ndarray]:
     """
     family = meas_operator_family(strategy, sp)
     return {
-        m: sum(op.conj().T @ op for key, op in family.items() if np.prod(key) == m)
+        m: sum(op.conj().T @ op for key, op in family.items() if (key[0] * key[1] if isinstance(key, tuple) else key) == m)
         for m in (+1, -1)
     }

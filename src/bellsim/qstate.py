@@ -218,11 +218,12 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 def phase_canonical(s: StateVector) -> StateVector:
     """Fix the global phase so the first nonzero amplitude is real positive."""
     amps = s.amplitudes
-    idx = np.flatnonzero(np.abs(amps) > 1e-9)
-    if idx.size == 0:  # cannot happen for a normalized state
-        return s
-    pivot = amps[idx[0]]
-    return StateVector(s.n_qubits, amps * (abs(pivot) / pivot))
+    # np.abs, not abs(): the scalar modulus can differ from the ufunc's by an ulp
+    for k, modulus in enumerate(np.abs(amps).tolist()):
+        if modulus > 1e-9:
+            pivot = amps[k]
+            return StateVector(s.n_qubits, amps * (abs(pivot) / pivot))
+    return s  # cannot happen for a normalized state
 
 
 def states_equal(a: StateVector, b: StateVector, atol: float = ATOL, up_to_phase: bool = True) -> bool:
@@ -238,7 +239,9 @@ def states_equal(a: StateVector, b: StateVector, atol: float = ATOL, up_to_phase
 def haar_random_state(n_qubits: int, gen: np.random.Generator) -> StateVector:
     """Haar-uniform pure state via normalized complex Gaussian amplitudes."""
     dim = 1 << n_qubits
-    amps = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+    amps = np.empty(dim, dtype=complex)
+    # dim normals for the real parts, then dim for the imaginary parts
+    amps.view(float).reshape(dim, 2).T[...] = gen.standard_normal((2, dim))
     # the expression np.linalg.norm evaluates for a complex vector
-    norm = np.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
-    return StateVector(n_qubits, amps / norm)
+    amps /= np.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
+    return StateVector(n_qubits, amps)

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from bellsim.bellcore import (
     BellCoefficients,
@@ -15,7 +16,8 @@ from bellsim.bellcore import (
     spin_product,
     to_bell,
 )
-from bellsim.qstate import PAULIS, StateVector, computational_state, haar_random_state, inner, states_equal
+from bellsim.qstate import PAULIS, StateVector, computational_state, haar_random_state, inner, make_state, states_equal
+from state_strategies import pivot_edge_examples, states
 
 SQ2 = 1.0 / np.sqrt(2.0)
 AXES = ("x", "y", "z")
@@ -192,3 +194,20 @@ def test_outcome_pair_inverts_classify():
 def test_label_index_order():
     assert [label.index for label in LABELS] == [0, 1, 2, 3]
     assert BellLabel.PSI_MINUS.value == "PsiMinus"
+
+
+def _to_bell_reference(s):
+    # to_bell's body before it called np.vdot on the Bell states directly
+    return BellCoefficients(*(inner(bell_state(label), s) for label in BellLabel))
+
+
+@given(s=states(2))
+@settings(max_examples=200, deadline=None)
+@example(s=make_state([-0.6, 0.8j, 0, 0]))
+def test_to_bell_matches_reference_bit_for_bit(s):
+    assert to_bell(s).as_array().tobytes() == _to_bell_reference(s).as_array().tobytes()
+
+
+def test_to_bell_pivot_edges_match_reference():
+    for s in pivot_edge_examples(2):
+        assert to_bell(s).as_array().tobytes() == _to_bell_reference(s).as_array().tobytes()

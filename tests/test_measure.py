@@ -23,7 +23,7 @@ from bellsim.measure import (
     nonlocal_product_measurement,
     povm_family,
 )
-from bellsim.qstate import StateVector, computational_state, haar_random_state, make_state, states_equal
+from bellsim.qstate import BASIS_CHANGE, StateVector, computational_state, haar_random_state, make_state, states_equal
 
 SQ2 = 1.0 / np.sqrt(2.0)
 AXES = ("x", "y", "z")
@@ -362,6 +362,32 @@ def test_kraus_completeness_both_strategies():
             family = meas_operator_family(strategy, spin_product(i, j))
             total = sum(m.conj().T @ m for m in family.values())
             np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
+
+
+def _local_kraus_reference(sp):
+    # _local_kraus's body before it built each eigenvector with np.multiply.outer
+    family = {}
+    u_a, u_b = BASIS_CHANGE[sp.i], BASIS_CHANGE[sp.j]
+    for mu, col_a in ((+1, 0), (-1, 1)):
+        for nu, col_b in ((+1, 0), (-1, 1)):
+            vec = np.kron(u_a.conj().T[:, col_a], u_b.conj().T[:, col_b])
+            family[(mu, nu)] = np.outer(vec, vec.conj())
+    return family
+
+
+def test_families_match_reference_bit_for_bit():
+    for i, j in itertools.product(AXES, repeat=2):
+        sp = spin_product(i, j)
+        references = {LOCAL: _local_kraus_reference(sp), NONLOCAL: {+1: sp.projector_plus, -1: sp.projector_minus}}
+        for strategy, kraus in references.items():
+            family = meas_operator_family(strategy, sp)
+            assert list(family) == list(kraus)
+            assert all(family[key].tobytes() == op.tobytes() for key, op in kraus.items())
+            # povm_family's body before it multiplied each key's pair directly
+            povm = {m: sum(op.conj().T @ op for key, op in kraus.items() if np.prod(key) == m) for m in (+1, -1)}
+            got = povm_family(strategy, sp)
+            assert list(got) == [+1, -1]
+            assert all(got[m].tobytes() == povm[m].tobytes() for m in (+1, -1))
 
 
 def test_nonlocal_kraus_are_the_eigenspace_projectors():

@@ -21,6 +21,7 @@ from bellsim.qstate import (
     states_equal,
     tensor,
 )
+from state_strategies import pivot_edge_examples, states
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -266,3 +267,48 @@ def test_phase_canonical_and_states_equal(seed, scale, up_to_phase):
     for atol in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
         expected = np.allclose(x.amplitudes, y.amplitudes, atol=atol)
         assert states_equal(a, b, atol=atol, up_to_phase=up_to_phase) is expected
+
+
+def _phase_canonical_reference(s):
+    # phase_canonical's body before it found its pivot with a loop
+    amps = s.amplitudes
+    idx = np.flatnonzero(np.abs(amps) > 1e-9)
+    if idx.size == 0:
+        return s
+    pivot = amps[idx[0]]
+    return StateVector(s.n_qubits, amps * (abs(pivot) / pivot))
+
+
+def _haar_random_state_reference(n_qubits, gen):
+    # haar_random_state's body before it drew into one complex buffer
+    dim = 1 << n_qubits
+    amps = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+    norm = np.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
+    return StateVector(n_qubits, amps / norm)
+
+
+@given(s=st.sampled_from((1, 2, 3, 6)).flatmap(states))
+@settings(max_examples=200, deadline=None)
+@example(s=make_state([-0.6, 0.8j, 0, 0]))
+def test_phase_canonical_matches_reference_bit_for_bit(s):
+    assert phase_canonical(s).amplitudes.tobytes() == _phase_canonical_reference(s).amplitudes.tobytes()
+
+
+def test_phase_canonical_pivot_edges_match_reference():
+    for n_qubits in (1, 2, 3):
+        for s in pivot_edge_examples(n_qubits):
+            got = phase_canonical(s).amplitudes
+            assert got.tobytes() == _phase_canonical_reference(s).amplitudes.tobytes()
+            # a modulus of exactly 1e-9 is not a pivot; one ulp above it is
+            pivot = 1 if np.abs(s.amplitudes)[0] <= 1e-9 else 0
+            assert got[pivot].real > 0 and abs(got[pivot].imag) <= 1e-15 * got[pivot].real
+
+
+@given(n_qubits=st.sampled_from((1, 2, 3, 6)), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=100, deadline=None)
+def test_haar_random_state_matches_reference_bit_for_bit(n_qubits, seed):
+    gen, reference_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        got = haar_random_state(n_qubits, gen).amplitudes
+        assert got.tobytes() == _haar_random_state_reference(n_qubits, reference_gen).amplitudes.tobytes()
+    assert gen.bit_generator.state == reference_gen.bit_generator.state
