@@ -14,7 +14,6 @@ Reports are bit-identical for identical (config, seed) except for the
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -52,6 +51,7 @@ class RunConfig:
     emit_trace: str | None = None
 
 
+_CSV_QUOTED = re.compile(r'[,"\r\n]')
 _DECIMAL = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # a real part ends where the signed imaginary part, or the token, begins
 _COEFFICIENT = re.compile(rf"(?:(?P<re>{_DECIMAL})(?=[+-]|\Z))?(?:(?P<im>{_DECIMAL})i)?")
@@ -149,16 +149,21 @@ def _flatten(prefix: str, value, rows: list) -> None:
         rows.append((prefix, value))
 
 
+def _csv_field(value) -> str:
+    """``value`` as csv.writer's default dialect writes it: None empty, quoted only if it holds , " CR or LF."""
+    text = "" if value is None else str(value)
+    return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
+
+
 def _emit_report(report: dict, output: str) -> None:
     if output == "json":
         print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
         return
     rows: list = []
     _flatten("", report, rows)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["key", "value"])
-    for key, value in sorted(rows):
-        writer.writerow([key, value])
+    lines = (f"{_csv_field(key)},{_csv_field(value)}\r\n" for key, value in sorted(rows))
+    # one write of what csv.writer would print, without the 128 KB record buffer it allocates per row
+    sys.stdout.write("key,value\r\n" + "".join(lines))
 
 
 def cmd_run(config: RunConfig) -> int:

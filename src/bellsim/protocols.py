@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -96,26 +97,37 @@ class TraceEvent(NamedTuple):
     message: ClassicalMessage | None = None
     outcome: object = None
 
-    def as_dict(self) -> dict:
-        d = {"step": self.step, "party": self.party, "op": self.op, "qubits": list(self.qubits)}
-        if self.message is not None:
-            d["message"] = {
-                "from": self.message.sender,
-                "to": self.message.recipient,
-                "payload": dict(self.message.payload),
-                "step": self.message.step,
-            }
-        if self.outcome is not None:
-            d["outcome"] = self.outcome
-        return d
+
+def _json(value) -> str:
+    """``value`` as json.dumps(value, sort_keys=True) writes it; exact ints, None, str, str-keyed dicts directly."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is dict and all(isinstance(key, str) for key in value):
+        return "{" + ", ".join(f"{encode_basestring_ascii(k)}: {_json(v)}" for k, v in sorted(value.items())) + "}"
+    return json.dumps(value, sort_keys=True)  # anything else, a numpy integer's TypeError included
 
 
-_EVENT_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(..., sort_keys=True) builds one per call
+def _event_json(event: TraceEvent) -> str:
+    """One event as a JSON object with sorted keys; ``message`` and ``outcome`` only when set."""
+    m = event.message
+    message = "" if m is None else (
+        f'"message": {{"from": {_json(m.sender)}, "payload": {_json(dict(m.payload))}, '
+        f'"step": {_json(m.step)}, "to": {_json(m.recipient)}}}, '
+    )
+    outcome = "" if event.outcome is None else f'"outcome": {_json(event.outcome)}, '
+    return (
+        f'{{{message}"op": {_json(event.op)}, {outcome}"party": {_json(event.party)}, '
+        f'"qubits": [{", ".join(map(_json, event.qubits))}], "step": {_json(event.step)}}}'
+    )
 
 
 def trace_to_jsonl(trace) -> str:
     """Serialize a trace as line-delimited JSON, one event per line."""
-    return "\n".join(_EVENT_ENCODER.encode(event.as_dict()) for event in trace)
+    return "\n".join(map(_event_json, trace))
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,8 +483,8 @@ def _fig1_analytic(s: StateVector) -> np.ndarray:
 
 
 def _scheme_a_analytic(s: StateVector) -> np.ndarray:
-    """<s| E_mn |s> over the composed POVM."""
-    return np.array([np.vdot(s.amplitudes, element @ s.amplitudes).real for element in _SCHEME_A_POVM])
+    """<s| E_mn |s> over the composed POVM, all four E_mn |s> in one stacked product."""
+    return np.array([np.vdot(s.amplitudes, row).real for row in _SCHEME_A_POVM @ s.amplitudes])
 
 
 def _scheme_b_analytic(s: StateVector) -> np.ndarray:

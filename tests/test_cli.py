@@ -5,9 +5,10 @@ import hashlib
 import io
 import json
 import os
+import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bellsim.cli as cli
@@ -275,6 +276,60 @@ def test_csv_output_schema(capsys):
     keys = {row[0] for row in rows[1:]}
     assert {"analytic.p1", "empirical.counts.PhiPlus", "chi_square",
             "ledger.ebits_consumed", "config.state_coefficients.0"} <= keys
+
+
+# csv.writer's inputs that need care: the four quoting characters, empty and
+# non-ASCII text, None, bools and floats whose str is their repr. Python 3.10's
+# csv.writer refuses NUL ("need to escape"), and no report field can hold one.
+_CSV_TEXT = st.text(st.one_of(st.sampled_from(',"\r\n \u00e9\u4e2d'), st.characters(blacklist_characters="\x00")))
+_CSV_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), _CSV_TEXT, st.sampled_from([0.1 + 0.2, 1e-320, 1e16]),
+)
+
+
+@given(report=st.dictionaries(_CSV_TEXT.filter(lambda key: "." not in key),
+                              st.one_of(_CSV_VALUES, st.lists(_CSV_VALUES, max_size=3)), max_size=6))
+@settings(max_examples=100, deadline=None)
+@example(report={"a,b": 'say "hi"', "": "", "cr": "x\ry", "lf": ["\n", "\r\n"], "f": [0.1 + 0.2, 1e-320, 1e16],
+                 "none": None, "flag": True, "n": -7, "\u00e9": "\u4e2d,"})
+def test_csv_report_is_what_csv_writer_writes(report):
+    rows = []
+    for key, value in report.items():
+        items = enumerate(value) if isinstance(value, list) else [(None, value)]
+        rows.extend((key if i is None else f"{key}.{i}", inner) for i, inner in items)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["key", "value"])
+    writer.writerows(sorted(rows))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_report(report, "csv")
+    assert out.getvalue() == expected.getvalue()
+
+
+def test_csv_report_bytes_are_pinned(capsys, monkeypatch, tmp_path):
+    """Quoted fields and CRLF row ends, as csv.writer wrote them: a state spec and a trace path with commas."""
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 1.0))  # duration_ms 0.0
+    trace = str(tmp_path / 'a,"b.jsonl')
+    code, out, _ = run_cli(
+        capsys, "run", "--scheme", "scheme_b", "--state=0.6,0,0,0.8i", "--trials", "3", "--seed", "5",
+        "--output", "csv", "--emit-trace", trace,
+    )
+    assert code == 0
+    quoted_trace = trace.replace('"', '""')
+    assert out == (
+        "key,value\r\nanalytic.p1,0.3599999999999998\r\nanalytic.p2,0.0\r\nanalytic.p3,0.0\r\n"
+        "analytic.p4,0.6400000000000001\r\nchi_square,1.687499999999999\r\n"
+        f'config.emit_trace,"{quoted_trace}"\r\nconfig.output,csv\r\nconfig.renormalized,False\r\n'
+        'config.scheme,scheme_b\r\nconfig.seed,5\r\nconfig.state,"0.6,0,0,0.8i"\r\n'
+        "config.state_coefficients.0,0.6+0i\r\nconfig.state_coefficients.1,0+0i\r\n"
+        "config.state_coefficients.2,0+0i\r\nconfig.state_coefficients.3,0+0.8i\r\nconfig.trials,3\r\n"
+        "duration_ms,0.0\r\nempirical.counts.PhiMinus,0\r\nempirical.counts.PhiPlus,0\r\n"
+        "empirical.counts.PsiMinus,3\r\nempirical.counts.PsiPlus,0\r\nfidelity,0.9999999999999996\r\n"
+        "ledger.ebits_consumed,6\r\nledger.ebits_granted,6\r\n"
+    )
+    events = [json.loads(line) for line in (tmp_path / 'a,"b.jsonl').read_text(encoding="utf-8").splitlines()]
+    assert len(events) == 34 and events[0]["step"] == "setup"
 
 
 def test_seed_falls_back_to_environment(capsys, monkeypatch):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellsim.bellcore import BellCoefficients, BellLabel, bell_state, from_bell, outcome_pair, to_bell
 from bellsim import cli, photonic, protocols
@@ -12,6 +14,7 @@ from bellsim.measure import RngStream
 from bellsim.protocols import (
     AuditReport,
     ClassicalMessage,
+    OutcomeTree,
     Party,
     ProtocolResult,
     ResourceLedger,
@@ -31,6 +34,7 @@ from bellsim.protocols import (
     trace_to_jsonl,
 )
 from bellsim.qstate import CNOT, HADAMARD, ID2, computational_state, fidelity, haar_random_state, states_equal
+from state_strategies import states
 
 LABELS = list(BellLabel)
 FIG1_OUTPUT_BITS = {
@@ -166,6 +170,20 @@ def test_all_schemes_share_one_label_distribution():
             )
 
 
+NEAR_FLOOR, LEADING_MINUS = (resolve_state(spec, 0)[0] for spec in ("1,0,1.5e-6,2.5e-8", "-0.6,0.8i,0,0"))
+
+
+@given(s=st.one_of(st.sampled_from([bell_state(label) for label in LABELS]), states(2)))
+@settings(max_examples=150, deadline=None)
+@example(s=NEAR_FLOOR)
+@example(s=LEADING_MINUS)
+def test_scheme_a_analytic_is_the_per_label_form(s):
+    # one stacked product, then one vdot per row: bit for bit the per-element form
+    amps = s.amplitudes
+    per_label = np.array([np.vdot(amps, element @ amps).real for element in protocols._SCHEME_A_POVM])
+    assert analytic_label_distribution(s, "scheme_a").tobytes() == per_label.tobytes()
+
+
 def test_analytic_routes_do_not_rebuild_their_operators(monkeypatch):
     def rebuilt():
         raise AssertionError("operator rebuilt per call")
@@ -280,6 +298,94 @@ def test_emitted_leaf_traces_match_pinned_digests(scheme, tmp_path):
             cli._run_trials(s, cli.RunConfig(scheme, "-", trials, seed, emit_trace=str(path)))
             digest.update(path.read_bytes())
     assert digest.hexdigest()[:16] == TRACE_DIGESTS[scheme]
+
+
+def _reference_event(event):
+    """The event as the dict the json reference encodes."""
+    d = {"step": event.step, "party": event.party, "op": event.op, "qubits": list(event.qubits)}
+    if event.message is not None:
+        d["message"] = {
+            "from": event.message.sender,
+            "to": event.message.recipient,
+            "payload": dict(event.message.payload),
+            "step": event.message.step,
+        }
+    if event.outcome is not None:
+        d["outcome"] = event.outcome
+    return d
+
+
+_REFERENCE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _reference_jsonl(trace):
+    """Reference serializer: one sorted-key json encoding of each event's dict."""
+    return "\n".join(_REFERENCE_ENCODER.encode(_reference_event(event)) for event in trace)
+
+
+def _leaf_traces(scheme):
+    """The trace of every leaf of the scheme's outcome tree."""
+    shape = OutcomeTree(bell_state(BellLabel.PHI_PLUS), SCHEMES[scheme].tree).labels.shape
+    return [SCHEMES[scheme].render(leaf) for leaf in np.ndindex(shape)]
+
+
+@pytest.mark.parametrize("scheme", sorted(TRACE_DIGESTS))
+def test_trace_writer_matches_the_json_reference(scheme):
+    traces = _leaf_traces(scheme)
+    assert len(traces) == {"fig1": 4, "scheme_a": 16, "scheme_b": 16}[scheme]
+    for s in _digest_states():
+        for seed in range(16):
+            traces.append(SCHEMES[scheme].runner(s, RngStream(seed).substream(0), record_trace=True).trace)
+    for trace in traces:
+        assert trace_to_jsonl(trace) == _reference_jsonl(trace)
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        st.dictionaries(st.integers(-3, 3), inner, max_size=2),
+    ),
+    max_leaves=6,
+)
+
+
+@given(
+    step=st.text(), party=st.one_of(st.none(), st.text()), op=st.text(),
+    qubits=st.lists(_JSON_SCALARS, max_size=3).map(tuple),
+    message=st.one_of(
+        st.none(),
+        st.builds(ClassicalMessage, _JSON_SCALARS, _JSON_SCALARS,
+                  st.one_of(st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=3),
+                            st.dictionaries(st.integers(-3, 3), _JSON_VALUES, max_size=2)),
+                  _JSON_SCALARS),
+    ),
+    outcome=_JSON_VALUES,
+)
+@settings(max_examples=100, deadline=None)
+@example(step="x", party=None, op="\u00e9\"\\\n\U0001f600", qubits=(), message=None, outcome=float("nan"))
+@example(step="x", party="a", op="o", qubits=(True, 1.5), message=None, outcome=2**70)
+def test_trace_writer_renders_any_json_value_as_json_does(step, party, op, qubits, message, outcome):
+    trace = [TraceEvent(step, party, op, qubits, message, outcome)]
+    assert trace_to_jsonl(trace) == _reference_jsonl(trace)
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        TraceEvent("s", "alice", "own", (0, np.int64(1))),
+        TraceEvent("s", "alice", "send", message=ClassicalMessage("alice", "bob", {"outcome": np.int64(1)}, "s")),
+        TraceEvent("s", "alice", "measure:z", (0,), outcome=np.int64(-1)),
+    ],
+    ids=["qubits", "payload", "outcome"],
+)
+def test_trace_writer_rejects_numpy_integers(event):
+    # as the json encoder does: never a line reading np.int64(1)
+    for write in (trace_to_jsonl, _reference_jsonl):
+        with pytest.raises(TypeError, match="int64"):
+            write([event])
 
 
 def test_trace_jsonl_schema():
