@@ -131,9 +131,16 @@ def _run_trials(state, config: RunConfig):
 
 
 def _writable(path: str) -> bool:
-    """Whether ``path`` can take the trace: a writable file, or a new file name in a writable directory."""
+    """Whether ``path`` can take the trace: a writable file, or a new file name in a writable directory.
+
+    A symlink to no file (dangling, or a loop) names the file where it resolves.
+    """
     if os.path.exists(path):
         return not os.path.isdir(path) and os.access(path, os.W_OK)
+    if os.path.islink(path):
+        path = os.path.realpath(path)
+        if os.path.islink(path):  # a loop resolves to one of its own links
+            return False
     parent = os.path.dirname(os.path.abspath(path))
     return os.path.basename(path) != "" and os.path.isdir(parent) and os.access(parent, os.W_OK)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Callable, NamedTuple
@@ -61,7 +62,20 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-_MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)  # _mix64's multipliers
+@lru_cache(maxsize=None, typed=True)
+def _operand(value, dtype=np.uint64) -> np.ndarray:
+    """``value`` as a shared, read-only 0-d array: a ufunc converts a Python scalar operand on every call."""
+    operand = np.array(value, dtype)
+    operand.flags.writeable = False
+    return operand
+
+
+# the chunks' shared operands: _mix64's multipliers and shifts, the draw's shift and scale,
+# and the counter offsets counter * _GOLDEN of draws 1 and 2
+_MIX_A, _MIX_B = _operand(0xBF58476D1CE4E5B9), _operand(0x94D049BB133111EB)
+_SHIFT_30, _SHIFT_27, _SHIFT_31, _SHIFT_11 = (_operand(n) for n in (30, 27, 31, 11))
+_SCALE = _operand(_DRAW_SCALE, np.float64)
+_STEPS = {counter: _operand(counter * _GOLDEN & _MASK64) for counter in (1, 2)}
 
 
 def _mix64_array(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -69,34 +83,70 @@ def _mix64_array(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
     ``scratch``, like ``x``, takes each shifted word.
     """
-    np.right_shift(x, 30, out=scratch)
+    np.right_shift(x, _SHIFT_30, out=scratch)
     x ^= scratch
     x *= _MIX_A
-    np.right_shift(x, 27, out=scratch)
+    np.right_shift(x, _SHIFT_27, out=scratch)
     x ^= scratch
     x *= _MIX_B
-    np.right_shift(x, 31, out=scratch)
+    np.right_shift(x, _SHIFT_31, out=scratch)
     x ^= scratch
     return x
 
 
-def _keyed_draws(keys: np.ndarray, counter: int, word: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Draw ``counter`` (1-based) of the streams with these keys, as ``uniform()`` makes it.
+class _ChunkWork(NamedTuple):
+    """The work buffers of a batch of draws and picks, with the views they are read through.
 
-    Written into ``word`` and returned as its ``float64`` view.
+    Three ``uint64`` words per trial, viewed once per buffer size rather
+    than once per chunk. The two byte rows of a pick (``count`` and
+    ``below``) are the first bytes of ``keys``: a chunk draws its last draw
+    before it picks, and no pick reads a key.
     """
-    np.add(keys, np.uint64(counter * _GOLDEN & _MASK64), out=word)
+
+    keys: np.ndarray  # uint64: the substream keys
+    word: np.ndarray  # uint64: the draw word
+    u: np.ndarray  # its float64 view: the draws
+    scratch: np.ndarray  # uint64: shifted words
+    x: np.ndarray  # its float64 view: gathered running sums
+    counted: np.ndarray  # its intp view: the counts widened
+    count: np.ndarray  # uint8: running sums at or below each draw
+    count_mask: np.ndarray  # its bool view
+    below: np.ndarray  # uint8: one column's comparison
+    below_mask: np.ndarray  # its bool view
+
+    @classmethod
+    def of(cls, keys: np.ndarray, word: np.ndarray, scratch: np.ndarray) -> "_ChunkWork":
+        """Views of three contiguous ``uint64`` buffers of one size."""
+        n = keys.size
+        count, below = keys.view(np.uint8)[:n], keys.view(np.uint8)[n:2 * n]
+        return cls(
+            keys, word, word.view(np.float64), scratch, scratch.view(np.float64), scratch.view(np.intp),
+            count, count.view(bool), below, below.view(bool),
+        )
+
+    def head(self, n: int) -> "_ChunkWork":
+        """The first ``n`` columns of the same buffers."""
+        return self.of(self.keys[:n], self.word[:n], self.scratch[:n])
+
+
+def _keyed_draws(work: _ChunkWork, counter: int) -> np.ndarray:
+    """Draw ``counter`` (1-based) of the streams whose keys ``work.keys`` holds, as ``uniform()`` makes it.
+
+    Written into ``work.word`` and returned as its ``float64`` view ``work.u``.
+    """
+    keys, word, u, scratch = work[:4]
+    step = _STEPS[counter] if counter in _STEPS else np.array(counter * _GOLDEN & _MASK64, np.uint64)
+    np.add(keys, step, out=word)
     _mix64_array(word, scratch)
-    word >>= 11
-    u = word.view(np.float64)
+    word >>= _SHIFT_11
     np.copyto(u, word)  # elementwise in place: each 53-bit word converts exactly
-    u *= _DRAW_SCALE
+    u *= _SCALE
     return u
 
 
 def _in_range(value, what: str) -> int:
-    """``value`` as an int; ``ValueError`` unless it is an integer in [0, 2**64), so no other value aliases it."""
-    if not isinstance(value, (int, np.integer)) or not 0 <= value <= _MASK64:
+    """``value`` as an int; ``ValueError`` unless it is an integer (not a bool) in [0, 2**64), so no other value aliases it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value <= _MASK64:
         raise ValueError(f"{what} must be an integer in [0, 2**64)")
     return int(value)
 
@@ -132,8 +182,8 @@ class RngStream:
 
     def _keys_into(self, start: int, keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Keys of ``substream(i)`` from i = ``start``, as many as ``keys`` holds, written into it for :func:`_keyed_draws`."""
-        np.multiply(np.arange(start + 1, start + 1 + keys.size, dtype=np.uint64), np.uint64(_GOLDEN), out=keys)
-        keys += np.uint64(self._key)
+        np.multiply(np.arange(start + 1, start + 1 + keys.size, dtype=np.uint64), _STEPS[1], out=keys)
+        keys += np.array(self._key, np.uint64)
         return _mix64_array(keys, scratch)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -248,42 +298,41 @@ class FloorRule(NamedTuple):
             leaf += bisect_right(cdf, rng.uniform() * cdf[-1])
         return int(self.kept[leaf])
 
-    def leaves_in_row(self, row: int, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """A new array of the leaves that draws ``u`` (scaled in place) select in a first row (``row`` 0)."""
-        cdf = self.cdf[row]
-        u *= cdf[-1]
-        return self.keep(cdf.searchsorted(u, side="right"), scratch)
+    def leaves_in_row(self, u: np.ndarray) -> np.ndarray:
+        """A new array of the leaves that draws ``u`` (scaled in place) select in the first row."""
+        u *= self.cdf[0, -1, ...]  # the row's total, as a 0-d view
+        return self.keep(self.cdf[0].searchsorted(u, side="right"))
 
-    def leaves_by_row(self, leaf: np.ndarray, u: np.ndarray, scratch: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    def leaves_by_row(self, leaf: np.ndarray, u: np.ndarray, work: _ChunkWork) -> np.ndarray:
         """In place: each row in ``leaf`` becomes the leaf its draw in ``u`` (scaled in place) selects.
 
-        ``scratch`` (``uint64``) and ``flags`` (``uint8``, two rows) are work buffers of u's size.
+        ``u`` is one of ``work``'s views or an array of its size; the picks work in ``work``'s other buffers.
         """
         k = self.cdf.shape[1]
-        x, (count, below), below_mask = scratch.view(np.float64), flags, flags[1].view(bool)
-        leaf *= k
+        x, counted, count, count_mask, below, below_mask = work[4:]
+        leaf *= _operand(k, np.intp)  # the step from a row to its first leaf
         flat = self.cdf.reshape(-1)  # running sum j of row r at leaf r * k + j
         # mode "clip" never clips here (the leaves are in range); mode "raise" would buffer the result
         flat[k - 1:].take(leaf, out=x, mode="clip")
         u *= x
-        count.fill(0)
         # searchsorted(side="right") counts the running sums at or below the draw;
         # the last, the total, is above every u * total (u < 1, so the product rounds below it)
-        for j in range(k - 1):
+        flat.take(leaf, out=x, mode="clip")
+        np.less_equal(x, u, out=count_mask)  # the first comparison starts the count
+        for j in range(1, k - 1):
             flat[j:].take(leaf, out=x, mode="clip")
             np.less_equal(x, u, out=below_mask)
             count += below
-        counted = scratch.view(np.intp)
         np.copyto(counted, count)
         leaf += counted
-        return self.keep(leaf, scratch)
+        return self.keep(leaf)
 
-    def keep(self, leaf: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """In place: each picked leaf becomes the leaf the floor rule keeps."""
-        kept = scratch.view(np.intp)
-        self.kept.take(leaf, out=kept, mode="clip")
-        np.copyto(leaf, kept)
-        return leaf
+    def keep(self, leaf: np.ndarray) -> np.ndarray:
+        """In place: each picked leaf becomes the leaf the floor rule keeps.
+
+        ``take`` reads index i before it writes slot i, so the gather needs no copy.
+        """
+        return self.kept.take(leaf, out=leaf, mode="clip")
 
 
 def measure_local_pauli(s: StateVector, qubit: int, axis: str, rng: RngStream):

@@ -33,7 +33,9 @@ from .measure import (
     MeasurementRecord,
     RngStream,
     _branch_record,
+    _ChunkWork,
     _keyed_draws,
+    _operand,
     _z_branches,
     local_product_measurement,
     measure_local_pauli,
@@ -78,10 +80,10 @@ class ClassicalMessage(NamedTuple):
 class ResourceLedger:
     """Ebit accounting for one protocol run: consumed never exceeds granted."""
 
-    ebits_granted: int = 0
+    ebits_granted: int
     ebits_consumed: int = 0
 
-    def consume(self, n: int = 1) -> None:
+    def consume(self, n: int) -> None:
         if self.ebits_consumed + n > self.ebits_granted:
             raise ValueError("insufficient ebits")
         self.ebits_consumed += n
@@ -548,7 +550,7 @@ def iterate_runs(s: StateVector, scheme: str, trials: int, seed: int):
 
 # Trials per chunk of OutcomeTree.sample. A chunk costs about the same numpy
 # calls whatever its size, so what bounds it is a run's heap peak: the CLI's
-# parsing garbage, plus the second-stage weights the tree keeps, plus 34 bytes
+# parsing garbage, plus the second-stage weights the tree keeps, plus 32 bytes
 # per chunk-trial of work buffers. perfbench mc-throughput's largest call
 # (2000-trial runs; 2 cores, Python 3.11.7, numpy 2.4.6) peaks at 35.5 KB at
 # 64, 35.6 KB at 128, 36.7 KB at 192 and 38.9 KB at 256; 192 stays within 2 %
@@ -559,7 +561,9 @@ TREE_CHUNK = 192
 # over the four schemes, cli._run_trials is cheaper walked up to 8 trials,
 # within 2 % either way at 9 and cheaper chunked from 10 (photonic crosses
 # near 7, the others near 9-10; 2 cores, Python 3.11.7, numpy 2.4.6; the
-# sweeps are in BENCH_16.json).
+# sweeps are in BENCH_16.json). With the chunks' scalar operands prebuilt the
+# sum crosses near 7 (BENCH_19.json); the constant stays until a change that
+# re-measures small runs moves it.
 TREE_WALK = 9
 
 
@@ -610,27 +614,25 @@ class OutcomeTree:
     def _chunks(self, root: RngStream, trials: int) -> np.ndarray:
         """:meth:`sample` in chunks.
 
-        Each chunk works in the same few buffers: the substream keys, the
-        draw word (read as the float draws), a scratch word, a byte count and a byte mask.
+        Each chunk works in the same three words per trial and the same views of them
+        (:class:`~bellsim.measure._ChunkWork`): the substream keys, the draw word and a scratch word.
         """
-        size = min(TREE_CHUNK, trials)
-        words, flags = np.empty((3, size), np.uint64), np.empty((2, size), np.uint8)
+        work = _ChunkWork.of(*np.empty((3, min(TREE_CHUNK, trials)), np.uint64))
         leaves = np.zeros(self.labels.size, dtype=np.int64)
         for start in range(0, trials, TREE_CHUNK):
-            if trials - start < size:  # the last chunk is short
-                words, flags = words[:, :trials - start], flags[:, :trials - start]
-            leaves += np.bincount(self._chunk(root, start, words, flags), minlength=leaves.size)
+            if trials - start < work.keys.size:  # the last chunk is short
+                work = work.head(trials - start)
+            leaves += np.bincount(self._chunk(root, start, work), minlength=leaves.size)
         return leaves.reshape(self.labels.shape)
 
-    def _chunk(self, root: RngStream, start: int, words: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    def _chunk(self, root: RngStream, start: int, work: _ChunkWork) -> np.ndarray:
         """The leaf of each trial of the chunk from ``start``, one per column of the buffers."""
-        keys, word, scratch = words
         first_draws = bool(self._first.draws[0])
         if first_draws:
-            root._keys_into(start, keys, scratch)
-            leaf = self._first.leaves_in_row(0, _keyed_draws(keys, 1, word, scratch), scratch)
+            root._keys_into(start, work.keys, work.scratch)
+            leaf = self._first.leaves_in_row(_keyed_draws(work, 1))
         else:
-            leaf = np.full(keys.size, self._first.kept[0])
+            leaf = np.full(work.keys.size, self._first.kept[0])
         if not self._child:
             return leaf
         if self._unbuilt:
@@ -638,11 +640,11 @@ class OutcomeTree:
             for i in [i for i in self._unbuilt if hit[i]]:
                 self._reach(i)
         if not self._second_draws:  # every row reached keeps its heaviest branch
-            leaf *= self.labels.shape[1]
-            return self._second.keep(leaf, scratch)
+            leaf *= _operand(self.labels.shape[1], np.intp)
+            return self._second.keep(leaf)
         if not first_draws:
-            root._keys_into(start, keys, scratch)
-        return self._second.leaves_by_row(leaf, _keyed_draws(keys, 1 + first_draws, word, scratch), scratch, flags)
+            root._keys_into(start, work.keys, work.scratch)
+        return self._second.leaves_by_row(leaf, _keyed_draws(work, 1 + first_draws), work)
 
     def _reach(self, i: int) -> None:
         """Build the second stage after first-stage branch ``i`` when a trial first reaches it."""

@@ -382,12 +382,17 @@ def test_emit_trace_writes_jsonl(capsys, tmp_path):
         assert {"step", "party", "op", "qubits"} <= set(event)
 
 
-@pytest.mark.parametrize("where", ["missing/t.jsonl", ".", "", "somefile/t.jsonl", "newdir/"])
+@pytest.mark.parametrize(
+    "where", ["missing/t.jsonl", ".", "", "somefile/t.jsonl", "newdir/", "dangling.jsonl", "loop.jsonl"]
+)
 def test_emit_trace_unwritable_path_exits_two_before_sampling(capsys, monkeypatch, tmp_path, where):
     def must_not_sample(*args, **kwargs):
         raise AssertionError("sampled before the trace path was checked")
 
     (tmp_path / "somefile").write_text("")
+    (tmp_path / "dangling.jsonl").symlink_to(tmp_path / "missing" / "t.jsonl")  # into a missing directory
+    (tmp_path / "loop.jsonl").symlink_to(tmp_path / "other.jsonl")
+    (tmp_path / "other.jsonl").symlink_to(tmp_path / "loop.jsonl")
     monkeypatch.setattr(cli, "_run_trials", must_not_sample)
     code, out, err = run_cli(
         capsys, "run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", "3",
@@ -396,6 +401,16 @@ def test_emit_trace_unwritable_path_exits_two_before_sampling(capsys, monkeypatc
     )
     assert code == 2
     assert out == "" and "emit-trace" in err and "not writable" in err
+
+
+def test_emit_trace_through_a_symlink_to_a_new_file(capsys, tmp_path):
+    link, target = tmp_path / "link.jsonl", tmp_path / "target.jsonl"
+    link.symlink_to(target)
+    code, _, err = run_cli(
+        capsys, "run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", "3", "--emit-trace", str(link),
+    )
+    assert code == 0 and err == ""
+    assert link.is_symlink() and target.read_text().count("\n") == 10  # fig1's 10 events
 
 
 def test_emit_trace_unsupported_for_photonic(capsys, tmp_path):

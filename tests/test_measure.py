@@ -55,9 +55,11 @@ def test_rng_substreams_deterministic_and_distinct():
     lambda: RngStream(0).substream(2**64),
     lambda: RngStream(1.5),
     lambda: RngStream(0).substream(2.7),
+    lambda: RngStream(True),
+    lambda: RngStream(0).substream(False),
 ])
 def test_rng_stream_rejects_out_of_range_seeds_and_indices(make):
-    # no aliasing: -1 is not 2**64 - 1, 2**64 is not 0 and 1.5 is not 1
+    # no aliasing: -1 is not 2**64 - 1, 2**64 is not 0, 1.5 is not 1 and True is not 1
     with pytest.raises(ValueError, match=r"in \[0, 2\*\*64\)"):
         make()
 

@@ -16,14 +16,24 @@ from bellsim import cli, photonic
 from bellsim.bellcore import BellCoefficients, BellLabel, bell_state, classify, from_bell, spin_product
 from bellsim.measure import (
     _GOLDEN,
+    _MIX_A,
+    _MIX_B,
+    _SCALE,
+    _SHIFT_11,
+    _SHIFT_27,
+    _SHIFT_30,
+    _SHIFT_31,
+    _STEPS,
     LOCAL,
     PROB_FLOOR,
     FloorRule,
     RngStream,
+    _ChunkWork,
     _choose_outcome,
     _keyed_draws,
     _mix64,
     _mix64_array,
+    _operand,
     local_product_measurement,
 )
 from bellsim.protocols import (
@@ -122,9 +132,10 @@ def test_walk_matches_the_chunks(s, scheme, trials, seed):
 def test_keyed_draws_are_the_substream_draws(seed, start, size, counter):
     """Keys and draws written over buffers of all-ones words, reused from one start to the next."""
     root = RngStream(seed)
-    keys, word, scratch = np.full((3, size), 2**64 - 1, np.uint64)
+    work = _ChunkWork.of(*np.full((3, size), 2**64 - 1, np.uint64))
     for first in (start // 2, start):
-        batched = _keyed_draws(root._keys_into(first, keys, scratch), counter, word, scratch)
+        root._keys_into(first, work.keys, work.scratch)
+        batched = _keyed_draws(work, counter)
         expected = []
         for t in range(first, first + size):
             stream = root.substream(t)
@@ -163,10 +174,31 @@ def test_in_place_mix_and_draws_are_the_scalar_ones(words):
     x = np.array(words, np.uint64)
     assert _mix64_array(x, np.empty_like(x)) is x
     assert x.tolist() == [_mix64(w) for w in words]
-    keys = np.array(words, np.uint64)
-    u = _keyed_draws(keys, 3, np.empty_like(keys), np.empty_like(keys))
-    assert keys.tolist() == words
+    work = _ChunkWork.of(*np.array([words] * 3, np.uint64))
+    u = _keyed_draws(work, 3)
+    assert u is work.u and work.keys.tolist() == words
     assert u.tolist() == [(_mix64(w + 3 * _GOLDEN) >> 11) * 2.0**-53 for w in words]
+
+
+def test_shared_chunk_operands_are_read_only_and_exact():
+    """The 0-d operands every chunk shares stand for their scalars and refuse writes, which would change later draws."""
+    words = [
+        (_MIX_A, 0xBF58476D1CE4E5B9), (_MIX_B, 0x94D049BB133111EB),
+        (_SHIFT_30, 30), (_SHIFT_27, 27), (_SHIFT_31, 31), (_SHIFT_11, 11),
+        (_STEPS[1], _GOLDEN), (_STEPS[2], 2 * _GOLDEN % 2**64),
+    ]
+    operands = [*((op, value, np.uint64) for op, value in words), (_SCALE, 2.0**-53, np.float64)]
+    operands.append((_operand(4, np.intp), 4, np.intp))  # a row width, built on first use
+    assert _operand(4, np.intp) is operands[-1][0] and _operand(4.0, np.float64) is not operands[-1][0]
+    assert sorted(_STEPS) == [1, 2]
+    for operand, value, dtype in operands:
+        assert operand.shape == () and operand.dtype == dtype and not operand.flags.writeable
+        assert type(operand.item()) is type(value) and operand.item() == value
+        with pytest.raises(ValueError, match="read-only"):
+            operand[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(operand, operand, out=operand)
+        assert operand.item() == value
 
 
 def _heap_peak(fn) -> int:
@@ -267,11 +299,11 @@ def test_floor_rule_replays_choose_outcome(weights, extra):
     one_row.set_row(0, weights)
     rows = FloorRule.empty(3, weights.size)
     rows.set_row(1, weights)
-    # all-ones work buffers, shared by both paths: no stale word may reach a pick
-    scratch, flags = np.full(u.size, 2**64 - 1, np.uint64), np.ones((2, u.size), np.uint8)
-    assert one_row.leaves_in_row(0, u.copy(), scratch).tolist() == expected
+    # all-ones work buffers: no stale word may reach a pick
+    work = _ChunkWork.of(*np.full((3, u.size), 2**64 - 1, np.uint64))
+    assert one_row.leaves_in_row(u.copy()).tolist() == expected
     leaf = np.ones(u.size, np.intp)
-    assert rows.leaves_by_row(leaf, u.copy(), scratch, flags) is leaf
+    assert rows.leaves_by_row(leaf, u.copy(), work) is leaf
     assert (leaf - weights.size).tolist() == expected
     assert draws <= {int(one_row.draws[0])} and rows.draws.tolist() == [False, one_row.draws[0], False]
 

@@ -431,7 +431,7 @@ def test_party_and_result_invariants():
     party = Party("alice", frozenset({0, 2}))
     assert party.owned_qubits == {0, 2}
     for label in LABELS:
-        result = ProtocolResult(outcome_pair(label), None, (), ResourceLedger())
+        result = ProtocolResult(outcome_pair(label), None, (), ResourceLedger(0))
         assert result.label is label
 
 
