@@ -52,20 +52,22 @@ class RunConfig:
 
 
 _CSV_QUOTED = re.compile(r'[,"\r\n]')
-_DECIMAL = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-# a real part ends where the signed imaginary part, or the token, begins
-_COEFFICIENT = re.compile(rf"(?:(?P<re>{_DECIMAL})(?=[+-]|\Z))?(?:(?P<im>{_DECIMAL})i)?")
+_DECIMAL = r"(?:[+-]\s*)?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# a real part ends where the signed imaginary part, or the token, begins;
+# blanks stand only there and after the sign that starts a part, never inside a number
+_COEFFICIENT = re.compile(rf"(?:(?P<re>{_DECIMAL})\s*(?=[+-]|\Z))?(?:(?P<im>{_DECIMAL})i)?")
 
 
 def _parse_complex(token: str) -> complex:
-    """Parse one coefficient in re[+im i] form, e.g. '0.6', '0.8i', '1-2i'."""
-    text = token.strip().replace(" ", "")
+    """Parse one coefficient in re[+im i] form, e.g. '0.6', '0.8i', '1-2i', '1 + 2i'."""
+    text = token.strip()
     if not text:
         raise ValueError("empty coefficient")
     match = _COEFFICIENT.fullmatch(text)
     if match is None:
         raise ValueError(f"bad complex component {token!r}")
-    return complex(float(match["re"] or 0), float(match["im"] or 0))
+    real, imag = ("".join(part.split()) if part else "0" for part in match.group("re", "im"))
+    return complex(float(real), float(imag))
 
 
 def resolve_state(spec: str, seed: int):
@@ -114,20 +116,27 @@ def _chi_square(counts: dict, probs: np.ndarray, trials: int) -> float | None:
 def _run_trials(state, config: RunConfig):
     """Sample all trials on one tree; for a Bell filter, the worst filter fidelity over the leaves reached.
 
-    With ``emit_trace``, also write trial 0's trace, rendered from its leaf on that tree.
+    With ``emit_trace``, also write trial 0's trace, rendered from its leaf on that tree
+    and written stage by stage, so one stage's events and lines are held at a time.
     """
     scheme = get_scheme(config.scheme)
     tree = OutcomeTree(state, scheme.tree)
     leaves = tree.sample(config.trials, config.seed)
     if config.emit_trace:
-        trace = scheme.render(tree.walk(RngStream(config.seed).substream(0)))
-        with open(config.emit_trace, "w", encoding="utf-8") as fh:
-            fh.write(trace_to_jsonl(trace))
-            fh.write("\n")
+        stages = scheme.stages(tree.walk(RngStream(config.seed).substream(0)))
+        with open(config.emit_trace, "wb", buffering=0) as fh:
+            for stage in stages:
+                _write_all(fh, (trace_to_jsonl(stage) + "\n").encode())
     if not scheme.filters:
         return tree.label_counts(leaves), None
     worst = min(fidelity(post, bell_state(label)) for _, label, post in tree.reached(leaves))
     return tree.label_counts(leaves), worst
+
+
+def _write_all(fh, data: bytes) -> None:
+    """Write ``data`` to the unbuffered file ``fh``, again from where a short write stopped."""
+    while data:
+        data = data[fh.write(data):]
 
 
 def _writable(path: str) -> bool:
@@ -187,7 +196,7 @@ def cmd_run(config: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.emit_trace is not None and scheme.render is None:
+    if config.emit_trace is not None and scheme.stages is None:
         print("error: --emit-trace is only available for the protocol schemes", file=sys.stderr)
         return 2
     if config.emit_trace is not None and not _writable(config.emit_trace):

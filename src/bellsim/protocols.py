@@ -10,10 +10,10 @@ the ebits they spent and returns a :class:`ProtocolResult` with the outcome
 pair (m, n), the Bell label and the ledger. When asked, it then renders the
 run's event trace from the readouts: local operations, measurements and the
 symmetric exchange of outcome bits (``send`` events), after which each party
-derives the result. A row's ``render`` draws the same trace from a leaf of
-the scheme's outcome tree. :func:`locc_audit` checks a trace for locality
-violations. :class:`OutcomeTree` samples untraced runs: a few trial by
-trial, more in batches.
+derives the result. A row's ``stages`` draw the same trace, stage by stage,
+from a leaf of the scheme's outcome tree. :func:`locc_audit` checks a trace
+for locality violations. :class:`OutcomeTree` samples untraced runs: a few
+trial by trial, more in batches.
 """
 from __future__ import annotations
 
@@ -228,46 +228,49 @@ def _render_local(stage: str, sp: SpinProduct, record: MeasurementRecord) -> lis
 _RENDER_STAGE = {NONLOCAL: _render_nonlocal, LOCAL: _render_local}
 
 
-def _render_fig1(z_a: int, z_b: int, label: BellLabel) -> tuple[TraceEvent, ...]:
-    """The circuit: a CNOT across both wires, H on Alice's, readout, then the exchange."""
-    return (
-        *_own("setup", _SYSTEM_PARTIES),
+def _events(stages) -> tuple[TraceEvent, ...]:
+    """A route's trace, rendered stage by stage (one list of events per stage), as one tuple."""
+    return tuple(event for stage in stages for event in stage)
+
+
+def _fig1_stages(z_a: int, z_b: int, label: BellLabel):
+    """Ownership of both wires; then the circuit (a CNOT across both wires, H on Alice's), readout and exchange."""
+    yield _own("setup", _SYSTEM_PARTIES)
+    yield [
         TraceEvent("circuit", None, "gate:CNOT", (_SYSTEM_A, _SYSTEM_B)),
         TraceEvent("circuit", ALICE, "gate:H", (_SYSTEM_A,)),
         TraceEvent("readout", ALICE, "measure:z", (_SYSTEM_A,), outcome=z_a),
         TraceEvent("readout", BOB, "measure:z", (_SYSTEM_B,), outcome=z_b),
         *_exchange("readout", "classify", z_a, z_b, label.value),
-    )
+    ]
 
 
-def _render_spin_products(szz: MeasurementRecord, sxx: MeasurementRecord) -> tuple[TraceEvent, ...]:
+def _spin_product_stages(szz: MeasurementRecord, sxx: MeasurementRecord):
     """Ownership of the system, then the S_zz and the S_xx stage, each as its strategy renders it."""
-    return (
-        *_own("setup", _SYSTEM_PARTIES),
-        *_RENDER_STAGE[szz.strategy]("szz", _SZZ, szz),
-        *_RENDER_STAGE[sxx.strategy]("sxx", _SXX, sxx),
-    )
+    yield _own("setup", _SYSTEM_PARTIES)
+    yield _RENDER_STAGE[szz.strategy]("szz", _SZZ, szz)
+    yield _RENDER_STAGE[sxx.strategy]("sxx", _SXX, sxx)
 
 
-# A scheme's render(leaf) is the trace of the run that reached ``leaf``, (i, j)
+# A scheme's stages(leaf) are the trace of the run that reached ``leaf``, (i, j)
 # as OutcomeTree numbers it: the first and the second stage's branch.
 
 
-def _render_fig1_leaf(leaf) -> tuple[TraceEvent, ...]:
+def _fig1_leaf_stages(leaf):
     """fig1's readout bits of Alice's and Bob's wire, as :func:`run_fig1` reads them out."""
     bit_a, bit_b = leaf
     z_a, z_b = 1 - 2 * bit_a, 1 - 2 * bit_b
-    return _render_fig1(z_a, z_b, classify(z_b, z_a))
+    return _fig1_stages(z_a, z_b, classify(z_b, z_a))
 
 
-def _spin_product_render(first: str, second: str):
+def _spin_product_leaf_stages(first: str, second: str):
     """The S_zz and S_xx readout indices, recorded as the ``first`` and ``second`` strategy record them."""
 
-    def render(leaf) -> tuple[TraceEvent, ...]:
+    def stages(leaf):
         i, j = leaf
-        return _render_spin_products(_branch_record(_SZZ, first, i), _branch_record(_SXX, second, j))
+        return _spin_product_stages(_branch_record(_SZZ, first, i), _branch_record(_SXX, second, j))
 
-    return render
+    return stages
 
 
 # --- Runners: the physics of one run, then its trace if asked for ----------------
@@ -286,7 +289,7 @@ def run_fig1(s: StateVector, rng: RngStream, record_trace: bool = True) -> Proto
     z_a, state = measure_local_pauli(state, _SYSTEM_A, "z", rng)
     z_b, state = measure_local_pauli(state, _SYSTEM_B, "z", rng)
     outcomes = (z_b, z_a)  # the wire carrying the Hadamard resolves +/-, the other Phi/Psi
-    trace = _render_fig1(z_a, z_b, classify(*outcomes)) if record_trace else ()
+    trace = _events(_fig1_stages(z_a, z_b, classify(*outcomes))) if record_trace else ()
     return ProtocolResult(outcomes, state, trace, ledger)
 
 
@@ -302,7 +305,7 @@ def _run_spin_products(s: StateVector, rng: RngStream, scheme: str, second: Call
     sxx, state = second(state, _SXX, rng)
     for record in (szz, sxx):
         ledger.consume(record.ebits_consumed)
-    trace = _render_spin_products(szz, sxx) if record_trace else ()
+    trace = _events(_spin_product_stages(szz, sxx)) if record_trace else ()
     outcomes = (szz.product_outcome, sxx.product_outcome)
     return ProtocolResult(outcomes, state if row.filters else None, trace, ledger)
 
@@ -503,22 +506,26 @@ class Scheme(NamedTuple):
     ebits_per_run: int
     # per-trial runner on the kernels, which renders a trace from its readouts; None for the photonic model
     runner: Callable[..., ProtocolResult] | None
-    render: Callable | None  # leaf of the tree -> the trace of a run that reached it; None for the photonic model
+    stages: Callable | None  # leaf of the tree -> the trace of a run that reached it, stage by stage; None for photonic
     tree: Callable  # s -> (first-stage weights, child, labels), as above
     analytic: Callable  # s -> label probabilities in label order, along the route's own algebra
     # a Bell filter: the post-state is the labelled Bell state, so a run reports its fidelity
     filters: bool
 
+    def render(self, leaf) -> tuple[TraceEvent, ...]:
+        """The trace of a run that reached ``leaf``, all stages in one tuple."""
+        return _events(self.stages(leaf))
+
 
 # The photonic run spends its path-entangled pair: the same one-ebit meter.
 SCHEMES = {
-    "fig1": Scheme(0, run_fig1, _render_fig1_leaf, _fig1_tree, _fig1_analytic, False),
+    "fig1": Scheme(0, run_fig1, _fig1_leaf_stages, _fig1_tree, _fig1_analytic, False),
     "scheme_a": Scheme(
-        1, run_scheme_a, _spin_product_render(NONLOCAL, LOCAL), _spin_product_tree(NONLOCAL, LOCAL),
+        1, run_scheme_a, _spin_product_leaf_stages(NONLOCAL, LOCAL), _spin_product_tree(NONLOCAL, LOCAL),
         _scheme_a_analytic, False,
     ),
     "scheme_b": Scheme(
-        2, run_scheme_b, _spin_product_render(NONLOCAL, NONLOCAL), _spin_product_tree(NONLOCAL, NONLOCAL),
+        2, run_scheme_b, _spin_product_leaf_stages(NONLOCAL, NONLOCAL), _spin_product_tree(NONLOCAL, NONLOCAL),
         _scheme_b_analytic, True,
     ),
     "photonic": Scheme(1, None, None, _photonic_tree, photonic.label_distribution, False),

@@ -97,6 +97,15 @@ def test_imaginary_coefficient_grammar():
     assert state.n_qubits == 2
 
 
+@pytest.mark.parametrize(
+    "token,value",
+    [("1 + 2i", 1 + 2j), (" - 0.5 ", -0.5), ("1 +2i", 1 + 2j), ("-0.5 - 0.25i", -0.5 - 0.25j), ("+ 2i", 2j),
+     ("\t1e-3\t-\t4E2i", 1e-3 - 4e2j)],
+)
+def test_blanks_beside_a_parts_sign_are_allowed(token, value):
+    assert cli._parse_complex(token) == value
+
+
 @given(value=st.complex_numbers(allow_nan=False, allow_infinity=False))
 @settings(max_examples=300, deadline=None)
 def test_formatted_coefficients_parse_back(value):
@@ -117,6 +126,23 @@ _JUNK = st.sampled_from(list("abcdfghjklmnopqrstuvwxyzI_()#$*/\u0661"))
 _MALFORMED = st.builds(
     lambda token, at, junk: token[:at] + junk + token[at:], _TOKEN, st.integers(0, 30), _JUNK
 )
+_NUMBER_CHARS = frozenset("0123456789.eE")
+
+
+def _split_number(token, at):
+    """``token`` with a blank between two characters of one of its numbers (the ``at``-th such place), or None."""
+    places = [k for k in range(1, len(token)) if {token[k - 1], token[k]} <= _NUMBER_CHARS]
+    if not places:
+        return None
+    cut = places[at % len(places)]
+    return token[:cut] + " " + token[cut:]
+
+
+# a blank inside a number: it would join the digits on either side
+_SPLIT = st.one_of(
+    st.builds(_split_number, _TOKEN, st.integers(0, 30)).filter(lambda token: token is not None),
+    st.sampled_from(["1 2", "0. 6", "1e 3", "1e- 3", "1e -3", "2 i", "1+2 i", ". 5"]),
+)
 # in the grammar, but the value overflows a double
 _NON_FINITE = st.builds(
     lambda digit, exponent, imaginary: f"{digit}e{exponent}" + ("i" if imaginary else ""),
@@ -135,8 +161,10 @@ def _specs_with_one(bad):
 @given(spec=st.one_of(
     st.lists(_TOKEN, max_size=8).filter(lambda tokens: len(tokens) != 4).map(",".join),
     _specs_with_one(_MALFORMED),
+    _specs_with_one(_SPLIT),
     _specs_with_one(_NON_FINITE),
 ))
+@example(spec="1 2,0,0,0")
 @settings(max_examples=200, deadline=None)
 def test_bad_state_specs_are_rejected_at_the_boundary(spec):
     with pytest.raises(ValueError):
@@ -433,19 +461,58 @@ def test_run_failure_exits_three(capsys, monkeypatch):
     assert out == "" and "norm drifted" in err
 
 
-@pytest.mark.parametrize("where", ["render", "write"])
+@pytest.mark.parametrize("where", ["render", "write", "device"])
 def test_trace_failure_exits_three(capsys, monkeypatch, tmp_path, where):
-    """A trace that cannot be rendered or written fails the run: exit 3, no report."""
+    """A trace that cannot be rendered, encoded or written fails the run: exit 3, no report."""
+    path, error = str(tmp_path / "t.jsonl"), "norm drifted"
     if where == "render":
-        monkeypatch.setitem(SCHEMES, "fig1", SCHEMES["fig1"]._replace(render=_explode))
-    else:
+        monkeypatch.setitem(SCHEMES, "fig1", SCHEMES["fig1"]._replace(stages=_explode))
+    elif where == "write":  # the encoder of each stage's lines
         monkeypatch.setattr(cli, "trace_to_jsonl", _explode)
+    elif os.path.exists("/dev/full"):  # every write to it fails
+        path, error = "/dev/full", "No space left on device"
+    else:
+        pytest.skip("needs a device on which every write fails")
     code, out, err = run_cli(
-        capsys, "run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", "3",
-        "--emit-trace", str(tmp_path / "t.jsonl"),
+        capsys, "run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", "3", "--emit-trace", path,
     )
     assert code == 3
+    assert out == "" and error in err
+
+
+def test_trace_failing_after_its_first_stage_exits_three_with_that_stage_written(capsys, monkeypatch, tmp_path):
+    """The trace is written stage by stage: a later stage that fails to render leaves the earlier ones in the file."""
+    path = tmp_path / "t.jsonl"
+    argv = ["run", "--scheme", "scheme_b", "--state", "random", "--trials", "3", "--emit-trace", str(path)]
+    assert run_cli(capsys, *argv)[0] == 0
+    whole = path.read_text().splitlines(keepends=True)
+    stages = SCHEMES["scheme_b"].stages
+
+    def first_stage_only(leaf):
+        yield next(stages(leaf))
+        _explode()
+
+    monkeypatch.setitem(SCHEMES, "scheme_b", SCHEMES["scheme_b"]._replace(stages=first_stage_only))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
     assert out == "" and "norm drifted" in err
+    assert path.read_text() == "".join(whole[:2])  # truncated, then the setup stage's two "own" events
+
+
+def test_trace_writer_resumes_short_writes():
+    class Trickle:
+        """A raw file that takes at most 5 bytes per write."""
+
+        def __init__(self):
+            self.data = b""
+
+        def write(self, data):
+            self.data += data[:5]
+            return min(len(data), 5)
+
+    fh = Trickle()
+    cli._write_all(fh, b"0123456789abcdefghijk")
+    assert fh.data == b"0123456789abcdefghijk"
 
 
 def test_chi_square_zero_probability_branch(capsys):

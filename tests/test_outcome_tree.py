@@ -247,7 +247,7 @@ def test_sampling_keeps_only_weights(scheme):
 
 @pytest.mark.parametrize("scheme", list(SCHEMES))
 def test_sampling_heap_per_chunk_trial(scheme):
-    """A chunk-trial costs at most 36 bytes of heap peak: three uint64 words, two bytes and an intp leaf are 34."""
+    """A chunk-trial costs at most 36 bytes of heap peak: three uint64 words and an intp leaf are 32."""
     tree = _tree(scheme)
     tree.sample(10 * TREE_CHUNK + 3, 5)  # builds every second stage a trial reaches
     gc.collect()
@@ -257,6 +257,19 @@ def test_sampling_heap_per_chunk_trial(scheme):
 
     half = TREE_CHUNK // 2
     assert (lowest_peak(TREE_CHUNK) - lowest_peak(half)) / (TREE_CHUNK - half) <= 36
+
+
+def test_traced_run_heap_peak(tmp_path):
+    """A traced 7-trial scheme_b run holds one stage of its 34-event trace at a time, not the whole trace and text.
+
+    The lower of two peaks reads 12.4-12.6 KB (2 cores, Python 3.11.7, numpy 2.4.6); the whole trace held read 23.1 KB.
+    """
+    s = haar_random_state(2, np.random.default_rng(11))
+    config = cli.RunConfig(scheme="scheme_b", state="-", trials=7, seed=1, emit_trace=str(tmp_path / "t.jsonl"))
+    cli._run_trials(s, config)  # numpy's and the file system's first-call caches are not the run's
+    gc.collect()
+    # the lower of two: the first traced call after the warm-up reads about 3 KB high
+    assert min(_heap_peak(lambda: cli._run_trials(s, config)) for _ in range(2)) <= 14_000
 
 
 class _Fixed:
