@@ -43,6 +43,8 @@ from .qstate import (
 
 LOCAL = "local"
 NONLOCAL = "nonlocal"
+ALICE = "alice"
+BOB = "bob"
 
 # Branches at or below this probability are never taken, and a single live
 # branch is taken without a draw (avoids renormalizing a ~null state).
@@ -243,22 +245,26 @@ def _z_branches(amps: np.ndarray, qubit: int):
     return weights, post_of
 
 
-def _choose_outcome(weights: np.ndarray, rng: RngStream) -> int:
-    """Pick an index by its Born weight; branches at or below PROB_FLOOR are dead.
+def _floor_rule(weights: list, first: int) -> tuple[bool, list]:
+    """The PROB_FLOOR rule on a row of Born weights, branch j being leaf ``first + j``: (draws, kept).
 
-    A single surviving branch is taken without consuming randomness, and a
-    draw that lands on a dead sliver is redirected to the heaviest branch
-    (never a ~null state). Pure Python: on a handful of weights numpy's
-    per-call cost would be most of the work.
+    A pick draws if more than one branch is above the floor. A branch keeps itself, or the row's heaviest
+    branch if it is dead (at or below the floor) or the row takes no draw: no pick keeps a ~null state.
     """
+    live = [w > PROB_FLOOR for w in weights]
+    draws = live.count(True) > 1
+    top = first + weights.index(max(weights))
+    return draws, [first + j if draws and alive else top for j, alive in enumerate(live)]
+
+
+def _choose_outcome(weights: np.ndarray, rng: RngStream) -> int:
+    """Pick an index by its Born weight under :func:`_floor_rule`, drawing only if the row draws; pure Python."""
     weights = weights.tolist()
-    if len([w for w in weights if w > PROB_FLOOR]) <= 1:
-        return weights.index(max(weights))
+    draws, kept = _floor_rule(weights, 0)
+    if not draws:
+        return kept[0]
     cdf = list(accumulate(weights))  # the same sums, in the same order, as np.cumsum
-    index = bisect_right(cdf, rng.uniform() * cdf[-1])
-    if weights[index] <= PROB_FLOOR:
-        index = weights.index(max(weights))
-    return index
+    return kept[bisect_right(cdf, rng.uniform() * cdf[-1])]
 
 
 class FloorRule(NamedTuple):
@@ -269,11 +275,9 @@ class FloorRule(NamedTuple):
     fancy-indexing machinery allocates more than the arrays themselves.
     """
 
-    draws: np.ndarray  # (rows,) more than one live branch: the row takes a draw
+    draws: np.ndarray  # (rows,) whether the row takes a draw, as _floor_rule decides
     cdf: np.ndarray  # (rows, k) running sums of the weights
-    # (rows * k,) the leaf a pick keeps: itself, or its row's argmax when it is dead
-    # (at or below PROB_FLOOR, or any pick of a drawless row)
-    kept: np.ndarray
+    kept: np.ndarray  # (rows * k,) the leaf a pick keeps, as _floor_rule decides
 
     @classmethod
     def empty(cls, rows: int, k: int) -> "FloorRule":
@@ -281,14 +285,10 @@ class FloorRule(NamedTuple):
         return cls(np.zeros(rows, bool), np.ones((rows, k)), np.empty(rows * k, np.intp))
 
     def set_row(self, row: int, weights: np.ndarray) -> None:
-        """Fill one row from its weights; pure Python, as in :func:`_choose_outcome`, since rows are short."""
-        w = weights.tolist()
-        live = [x > PROB_FLOOR for x in w]
-        draws = self.draws[row] = live.count(True) > 1
+        """Fill one row from its weights."""
+        first = row * weights.size
+        self.draws[row], self.kept[first:first + weights.size] = _floor_rule(weights.tolist(), first)
         self.cdf[row] = weights.cumsum()
-        first = row * len(w)
-        top = first + w.index(max(w))
-        self.kept[first:first + len(w)] = [first + j if draws and alive else top for j, alive in enumerate(live)]
 
     def choose(self, row: int, rng: RngStream) -> int:
         """:func:`_choose_outcome` on one row for one stream: the leaf it keeps, drawing only if the row draws."""
@@ -357,17 +357,25 @@ def measure_local_pauli(s: StateVector, qubit: int, axis: str, rng: RngStream):
     return 1 - 2 * bit, _wrap(s.n_qubits, amps)
 
 
-def _coupled_injection() -> np.ndarray:
-    """16x4 map: system amplitudes -> post-CNOT joint state with a |Phi+> meter.
+# A nonlocal measurement's wire plan on [A_sys, B_sys, A_meter, B_meter], as (step, party, op, qubits)
+# rows: a |Phi+> meter qubit to each party, then each party's CNOT from its system onto its meter qubit.
+# The kernels' map is built from the CNOT rows and traces render every row, for the LOCC audit to check.
+NONLOCAL_WIRES = (
+    ("distribute-ebit", ALICE, "ebit", (2,)),
+    ("distribute-ebit", BOB, "ebit", (3,)),
+    ("local-cnot", ALICE, "gate:CNOT", (0, 2)),
+    ("local-cnot", BOB, "gate:CNOT", (1, 3)),
+)
 
-    Both parties' system->meter CNOTs act on the [A_sys, B_sys, A_meter,
-    B_meter] register, applied to each system basis state (they commute).
-    """
+
+def _coupled_injection(wires=NONLOCAL_WIRES) -> np.ndarray:
+    """16x4 map: system amplitudes -> joint state with a |Phi+> meter after the ``gate:CNOT`` rows of ``wires``."""
     phi = bell_state(BellLabel.PHI_PLUS).amplitudes
     columns = np.empty((16, 4), dtype=complex)
     for k, joint in enumerate(np.kron(np.eye(4), phi)):
-        for targets in ((0, 2), (1, 3)):
-            joint = _apply_matrix(joint, 4, CNOT, targets)
+        for _, _, op, qubits in wires:
+            if op == "gate:CNOT":
+                joint = _apply_matrix(joint, 4, CNOT, qubits)
         columns[:, k] = joint
     columns.setflags(write=False)
     return columns

@@ -150,31 +150,15 @@ def photonic_label(ports: tuple[DetectorIndex, DetectorIndex]) -> BellLabel:
     return classify(m, n)
 
 
-def _port_table(reg: PhotonRegister) -> np.ndarray:
-    """Register basis index -> the output port of ``reg``'s photon that fires."""
-    return np.array([
-        (bit_of(index, reg.path_z, N_QUBITS) << 1) | bit_of(index, reg.path_x, N_QUBITS)
-        for index in range(1 << N_QUBITS)
-    ])
+def _port(index: int, reg: PhotonRegister) -> DetectorIndex:
+    """The output port of ``reg``'s photon that fires on register basis state ``index``."""
+    return DetectorIndex(reg.photon, (bit_of(index, reg.path_z, N_QUBITS) << 1) | bit_of(index, reg.path_x, N_QUBITS))
 
 
-# np.bincount over these tables sums in index order, as a loop would
-_PORTS_A = _port_table(REGISTER_A)
-_PORTS_B = _port_table(REGISTER_B)
 # register basis index -> its detection event (immutable, so shared)
-_EVENTS = tuple(
-    (DetectorIndex("A", int(a)), DetectorIndex("B", int(b))) for a, b in zip(_PORTS_A, _PORTS_B)
-)
+_EVENTS = tuple((_port(index, REGISTER_A), _port(index, REGISTER_B)) for index in range(1 << N_QUBITS))
 # register basis index -> index of the Bell label its port pair names
 _LABEL_INDEX = np.array([photonic_label(event).index for event in _EVENTS])
-
-
-def port_probabilities(final: StateVector, photon: str) -> np.ndarray:
-    """Marginal probability of each of one photon's four output ports."""
-    table = {"A": _PORTS_A, "B": _PORTS_B}.get(photon)
-    if table is None:
-        raise ValueError("photon must be 'A' or 'B'")
-    return np.bincount(table, np.abs(final.amplitudes) ** 2, 4)
 
 
 def label_distribution(s: StateVector) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
@@ -26,8 +27,11 @@ import numpy as np
 
 from .bellcore import BellLabel, SpinProduct, classify, spin_product
 from .measure import (
+    ALICE,
+    BOB,
     LOCAL,
     NONLOCAL,
+    NONLOCAL_WIRES,
     STRATEGIES,
     FloorRule,
     MeasurementRecord,
@@ -44,14 +48,20 @@ from .measure import (
 from .qstate import CNOT, HADAMARD, ID2, StateVector, _wrap
 from . import bellcore, photonic
 
-ALICE = "alice"
-BOB = "bob"
-
-# Register wire plan shared by the LOCC schemes: system qubits 0 (Alice) and
-# 1 (Bob); meter qubits 2 (Alice) and 3 (Bob), reused per nonlocal stage.
+# The qubits the LOCC audit lets each party touch: system qubits 0 (Alice) and 1 (Bob); meter qubits
+# 2 (Alice) and 3 (Bob), as measure.NONLOCAL_WIRES hands them out, reused per nonlocal stage.
 _SYSTEM_A, _SYSTEM_B, _METER_A, _METER_B = 0, 1, 2, 3
 
-_H_ON_A = np.kron(HADAMARD, ID2)
+# fig1's circuit on [A, B] as (step, party, op, qubits) rows, which its trace shows: a CNOT across
+# both wires, then H on Alice's. The runners apply each row's 4x4 matrix in turn.
+_FIG1_GATES = (("circuit", None, "gate:CNOT", (0, 1)), ("circuit", ALICE, "gate:H", (0,)))
+_ON_BOTH_WIRES = {("gate:CNOT", (0, 1)): CNOT, ("gate:H", (0,)): np.kron(HADAMARD, ID2)}  # a gate row's 4x4 matrix
+_FIG1_MATRICES = tuple(_ON_BOTH_WIRES[op, qubits] for _, _, op, qubits in _FIG1_GATES)
+
+
+def _fig1_circuit(amps: np.ndarray) -> np.ndarray:
+    """fig1's gate rows applied to ``amps`` (a state, or the columns of a matrix) one by one."""
+    return reduce(lambda state, u: u @ state, _FIG1_MATRICES, amps)
 
 
 @dataclass(frozen=True)
@@ -195,16 +205,15 @@ def _basis_change(stage: str, sp: SpinProduct) -> list[TraceEvent]:
     ]
 
 
-def _render_nonlocal(stage: str, sp: SpinProduct, record: MeasurementRecord) -> list[TraceEvent]:
-    """One ancilla-assisted spin-product measurement, step by step."""
+def _render_nonlocal(stage: str, sp: SpinProduct, record: MeasurementRecord, wires=NONLOCAL_WIRES) -> list[TraceEvent]:
+    """One ancilla-assisted spin-product measurement, step by step: its ebits and gates are the rows of ``wires``."""
     z_a, z_b = record.local_outcomes
+    rows = [TraceEvent(f"{stage}:{step}", party, op, qubits) for step, party, op, qubits in wires]
     return [
         *_own(f"{stage}:distribute-ebit", _EXTENDED_PARTIES),
-        TraceEvent(f"{stage}:distribute-ebit", ALICE, "ebit", (_METER_A,)),
-        TraceEvent(f"{stage}:distribute-ebit", BOB, "ebit", (_METER_B,)),
+        *(event for event in rows if event.op == "ebit"),
         *_basis_change(stage, sp),
-        TraceEvent(f"{stage}:local-cnot", ALICE, "gate:CNOT", (_SYSTEM_A, _METER_A)),
-        TraceEvent(f"{stage}:local-cnot", BOB, "gate:CNOT", (_SYSTEM_B, _METER_B)),
+        *(event for event in rows if event.op != "ebit"),
         TraceEvent(f"{stage}:meter-readout", ALICE, "measure:z", (_METER_A,), outcome=z_a),
         TraceEvent(f"{stage}:meter-readout", BOB, "measure:z", (_METER_B,), outcome=z_b),
         TraceEvent(f"{stage}:meter-discard", ALICE, "discard", (_METER_A,)),
@@ -237,8 +246,7 @@ def _fig1_stages(z_a: int, z_b: int, label: BellLabel):
     """Ownership of both wires; then the circuit (a CNOT across both wires, H on Alice's), readout and exchange."""
     yield _own("setup", _SYSTEM_PARTIES)
     yield [
-        TraceEvent("circuit", None, "gate:CNOT", (_SYSTEM_A, _SYSTEM_B)),
-        TraceEvent("circuit", ALICE, "gate:H", (_SYSTEM_A,)),
+        *(TraceEvent(*row) for row in _FIG1_GATES),
         TraceEvent("readout", ALICE, "measure:z", (_SYSTEM_A,), outcome=z_a),
         TraceEvent("readout", BOB, "measure:z", (_SYSTEM_B,), outcome=z_b),
         *_exchange("readout", "classify", z_a, z_b, label.value),
@@ -285,7 +293,7 @@ def run_fig1(s: StateVector, rng: RngStream, record_trace: bool = True) -> Proto
     """
     _require_two_qubits(s)
     ledger = ResourceLedger(SCHEMES["fig1"].ebits_per_run)
-    state = StateVector(2, _H_ON_A @ (CNOT @ s.amplitudes))
+    state = StateVector(2, _fig1_circuit(s.amplitudes))
     z_a, state = measure_local_pauli(state, _SYSTEM_A, "z", rng)
     z_b, state = measure_local_pauli(state, _SYSTEM_B, "z", rng)
     outcomes = (z_b, z_a)  # the wire carrying the Hadamard resolves +/-, the other Phi/Psi
@@ -417,7 +425,7 @@ _PRODUCT_LABELS = np.array([[classify(m, n).index for n in _PRODUCTS] for m in _
 
 def _fig1_tree(s: StateVector):
     """fig1's two sigma_z readouts, after the circuit."""
-    weights, post_of = _z_branches(_H_ON_A @ (CNOT @ s.amplitudes), _SYSTEM_A)
+    weights, post_of = _z_branches(_fig1_circuit(s.amplitudes), _SYSTEM_A)
     return weights, lambda bit: _z_branches(post_of(bit), _SYSTEM_B), _FIG1_LABELS
 
 
@@ -441,8 +449,8 @@ def _photonic_tree(s: StateVector):
 
 
 def fig1_unitary() -> np.ndarray:
-    """The full fig1 circuit matrix: Hadamard on Alice's wire after a CNOT."""
-    return _H_ON_A @ CNOT
+    """The full fig1 circuit matrix, the product of its gate rows' matrices: the circuit on each basis state."""
+    return _fig1_circuit(np.eye(4, dtype=complex))
 
 
 def scheme_a_povm() -> dict[tuple[int, int], np.ndarray]:
@@ -511,10 +519,6 @@ class Scheme(NamedTuple):
     analytic: Callable  # s -> label probabilities in label order, along the route's own algebra
     # a Bell filter: the post-state is the labelled Bell state, so a run reports its fidelity
     filters: bool
-
-    def render(self, leaf) -> tuple[TraceEvent, ...]:
-        """The trace of a run that reached ``leaf``, all stages in one tuple."""
-        return _events(self.stages(leaf))
 
 
 # The photonic run spends its path-entangled pair: the same one-ebit meter.

@@ -360,6 +360,47 @@ def test_csv_report_bytes_are_pinned(capsys, monkeypatch, tmp_path):
     assert len(events) == 34 and events[0]["step"] == "setup"
 
 
+def test_json_report_bytes_are_pinned(capsys, monkeypatch):
+    """Sorted keys, two-space indent, shortest round-trip floats: the report of the CSV case above, as JSON."""
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 1.0))  # duration_ms 0.0
+    code, out, _ = run_cli(
+        capsys, "run", "--scheme", "scheme_b", "--state=0.6,0,0,0.8i", "--trials", "3", "--seed", "5",
+    )
+    assert code == 0
+    assert out == (
+        '{\n  "analytic": {\n    "p1": 0.3599999999999998,\n    "p2": 0.0,\n    "p3": 0.0,\n'
+        '    "p4": 0.6400000000000001\n  },\n  "chi_square": 1.687499999999999,\n  "config": {\n'
+        '    "emit_trace": null,\n    "output": "json",\n    "renormalized": false,\n    "scheme": "scheme_b",\n'
+        '    "seed": 5,\n    "state": "0.6,0,0,0.8i",\n    "state_coefficients": [\n      "0.6+0i",\n'
+        '      "0+0i",\n      "0+0i",\n      "0+0.8i"\n    ],\n    "trials": 3\n  },\n  "duration_ms": 0.0,\n'
+        '  "empirical": {\n    "counts": {\n      "PhiMinus": 0,\n      "PhiPlus": 0,\n      "PsiMinus": 3,\n'
+        '      "PsiPlus": 0\n    }\n  },\n  "fidelity": 0.9999999999999996,\n  "ledger": {\n'
+        '    "ebits_consumed": 6,\n    "ebits_granted": 6\n  }\n}\n'
+    )
+
+
+def test_duration_is_the_runs_wall_time(capsys, monkeypatch):
+    """duration_ms is the clock after the run less the clock before it, in milliseconds: never negative."""
+    argv = ("run", "--scheme", "fig1", "--state", "random", "--trials", "100")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and report_of(out)["duration_ms"] >= 0
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=iter([1.0, 1.25]).__next__))
+    assert report_of(run_cli(capsys, *argv)[1])["duration_ms"] == 250.0
+
+
+def test_seed_defaults_to_zero(capsys, monkeypatch):
+    """With neither --seed nor BELLSIM_SEED a run is the seed-0 run, and its report says so."""
+    monkeypatch.delenv("BELLSIM_SEED", raising=False)
+    argv = ("run", "--scheme", "scheme_a", "--state", "random", "--trials", "50")
+    _, out_default, _ = run_cli(capsys, *argv)
+    _, out_zero, _ = run_cli(capsys, *argv, "--seed", "0")
+    a, b = report_of(out_default), report_of(out_zero)
+    assert a["config"]["seed"] == 0
+    a.pop("duration_ms")
+    b.pop("duration_ms")
+    assert a == b
+
+
 def test_seed_falls_back_to_environment(capsys, monkeypatch):
     monkeypatch.setenv("BELLSIM_SEED", "5")
     _, out_env, _ = run_cli(capsys, "run", "--scheme", "scheme_a", "--state", "random", "--trials", "50")
@@ -551,6 +592,17 @@ def test_trials_cap(capsys):
     )
     assert code == 2
     assert "capped" in err
+
+
+@pytest.mark.parametrize("trials,code", [(1_000_000, 0), (1_000_001, 2)])
+def test_trials_cap_boundary(capsys, trials, code):
+    """MAX_TRIALS itself runs; one more is refused."""
+    got, out, err = run_cli(capsys, "run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", str(trials))
+    assert got == code
+    if code == 0:
+        assert report_of(out)["empirical"]["counts"]["PhiPlus"] == trials
+    else:
+        assert out == "" and "capped" in err
 
 
 def test_photonic_run_statistic_is_plausible(capsys):

@@ -6,6 +6,8 @@ draw numbers and the same floor rule as ``_choose_outcome``.
 """
 import gc
 import tracemalloc
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -272,6 +274,18 @@ def test_traced_run_heap_peak(tmp_path):
     assert min(_heap_peak(lambda: cli._run_trials(s, config)) for _ in range(2)) <= 14_000
 
 
+def _reference_choose_outcome(weights, rng):
+    """The floor rule written out on its own, without ``measure._floor_rule``: the reference every pick path replays."""
+    weights = weights.tolist()
+    if len([w for w in weights if w > PROB_FLOOR]) <= 1:
+        return weights.index(max(weights))
+    cdf = list(accumulate(weights))
+    index = bisect_right(cdf, rng.uniform() * cdf[-1])
+    if weights[index] <= PROB_FLOOR:
+        index = weights.index(max(weights))
+    return index
+
+
 class _Fixed:
     """A stream whose every draw is ``u``; counts the draws taken."""
 
@@ -297,7 +311,7 @@ SLIVERS = st.sampled_from([0.0, PROB_FLOOR / 2, PROB_FLOOR, np.nextafter(PROB_FL
 @example(weights=[1.0, PROB_FLOOR], extra=[])
 @example(weights=[0.25, PROB_FLOOR / 2, 0.75], extra=[])
 def test_floor_rule_replays_choose_outcome(weights, extra):
-    """Both pick paths agree with ``_choose_outcome``, also for draws on and beside a dead sliver."""
+    """``_choose_outcome`` and both batch pick paths agree with the reference, also for draws on and beside a dead sliver."""
     weights = np.array(weights)
     cdf = np.cumsum(weights)
     edges = cdf[:-1] / cdf[-1]
@@ -305,9 +319,10 @@ def test_floor_rule_replays_choose_outcome(weights, extra):
     u = np.array([v for v in [*u, *extra] if 0.0 <= v < 1.0])
     expected, draws = [], set()
     for value in u:
-        stream = _Fixed(float(value))
-        expected.append(_choose_outcome(weights, stream))
+        stream, scalar = _Fixed(float(value)), _Fixed(float(value))
+        expected.append(_reference_choose_outcome(weights, stream))
         draws.add(stream.draws)
+        assert _choose_outcome(weights, scalar) == expected[-1] and scalar.draws == stream.draws
     one_row = FloorRule.empty(1, weights.size)
     one_row.set_row(0, weights)
     rows = FloorRule.empty(3, weights.size)
@@ -331,7 +346,7 @@ def test_floor_rule_replays_choose_outcome(weights, extra):
 @example(weights=[0.5, PROB_FLOOR, 0.5], row=1)
 @example(weights=[1.0, PROB_FLOOR], row=2)
 def test_walked_pick_replays_choose_outcome(weights, row):
-    """The walk's one-stream pick agrees with ``_choose_outcome`` on draws on and beside every running sum."""
+    """The walk's one-stream pick agrees with the reference on draws on and beside every running sum."""
     weights = np.array(weights)
     cdf = np.cumsum(weights)
     edges = [0.0, *(cdf[:-1] / cdf[-1])]
@@ -339,7 +354,7 @@ def test_walked_pick_replays_choose_outcome(weights, row):
     rule.set_row(row, weights)
     for u in [v for edge in edges for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)) if 0.0 <= v < 1.0]:
         expected, walked = _Fixed(float(u)), _Fixed(float(u))
-        assert rule.choose(row, walked) - row * weights.size == _choose_outcome(weights, expected)
+        assert rule.choose(row, walked) - row * weights.size == _reference_choose_outcome(weights, expected)
         assert walked.draws == expected.draws
 
 

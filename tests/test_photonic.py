@@ -16,11 +16,17 @@ from bellsim.photonic import (
     build_photonic_run,
     detect,
     label_distribution,
+    _EVENTS,
     photonic_label,
-    port_probabilities,
 )
-from bellsim.protocols import analytic_label_distribution, outcome_distribution
+from bellsim.protocols import SCHEMES, analytic_label_distribution, outcome_distribution
 from bellsim.qstate import CNOT, HADAMARD, _apply_matrix, bit_of, computational_state, haar_random_state, tensor
+
+
+def port_probabilities(final, photon):
+    """Marginal probability of each of one photon's four output ports, summed in index order over ``detect``'s events."""
+    ports = [event["AB".index(photon)].port for event in _EVENTS]
+    return np.bincount(ports, np.abs(final.amplitudes) ** 2, 4)
 
 
 def test_register_layout():
@@ -100,11 +106,24 @@ def test_exactly_one_detector_fires_per_photon():
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_port_probabilities_rejects_unknown_photon():
-    final = build_photonic_run(bell_state(BellLabel.PHI_PLUS))
-    for photon in ("C", "a", ""):
-        with pytest.raises(ValueError, match="photon"):
-            port_probabilities(final, photon)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_readout_law_is_scheme_a_leaf_law(seed):
+    """The 64 detection weights folded onto port pairs, read as (z_A, z_B; x_A, x_B), are scheme (a)'s 16-leaf law.
+
+    Leaf (i, j) of scheme (a) weighs its first-stage (nonlocal S_zz) weight times its second-stage (local S_xx)
+    weight, i and j the readout indices 2 * bit(A) + bit(B).
+    """
+    s = haar_random_state(2, np.random.default_rng(seed))
+    z_a, z_b, x_a, x_b = REGISTER_A.path_z, REGISTER_B.path_z, REGISTER_A.path_x, REGISTER_B.path_x
+    law = np.zeros((4, 4))
+    for index, weight in enumerate(np.abs(build_photonic_run(s).amplitudes) ** 2):
+        i = 2 * bit_of(index, z_a, 6) + bit_of(index, z_b, 6)
+        j = 2 * bit_of(index, x_a, 6) + bit_of(index, x_b, 6)
+        law[i, j] += weight
+    first, child, _ = SCHEMES["scheme_a"].tree(s)
+    leaves = np.array([first[i] * child(i)[0] for i in range(4)])
+    np.testing.assert_allclose(law, leaves, rtol=0, atol=1e-15)
 
 
 def test_index_tables_match_loop_reference():

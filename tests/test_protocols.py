@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bellsim.bellcore import BellCoefficients, BellLabel, bell_state, from_bell, outcome_pair, to_bell
 from bellsim import cli, photonic, protocols
 from bellsim.cli import resolve_state
-from bellsim.measure import RngStream
+from bellsim.measure import ALICE, NONLOCAL, NONLOCAL_WIRES, MeasurementRecord, RngStream, _coupled_injection, _INJECT_PHI_PLUS
 from bellsim.protocols import (
     AuditReport,
     ClassicalMessage,
@@ -212,6 +212,49 @@ def test_audit_fails_fig1_on_the_nonlocal_cnot():
     assert any("gate:CNOT" in v for v in report.violations)
 
 
+def _plan_events(trace, stage):
+    """The stage's ebit and gate:CNOT events as (step, party, op, qubits) rows, the stage prefix cut from the step."""
+    return [(event.step.split(":", 1)[1], event.party, event.op, event.qubits)
+            for event in trace if event.step.startswith(f"{stage}:") and event.op in ("ebit", "gate:CNOT")]
+
+
+def test_nonlocal_traces_render_the_wire_plan_the_kernels_run():
+    """Every nonlocal stage's ebits and CNOTs are the rows of NONLOCAL_WIRES, the plan _INJECT_PHI_PLUS is built from."""
+    assert _coupled_injection(NONLOCAL_WIRES).tobytes() == _INJECT_PHI_PLUS.tobytes()
+    for scheme, stages in (("scheme_a", ("szz",)), ("scheme_b", ("szz", "sxx"))):
+        for leaf in np.ndindex(4, 4):
+            trace = render(scheme, leaf)
+            assert all(_plan_events(trace, stage) == list(NONLOCAL_WIRES) for stage in stages)
+    # fig1's circuit events are the gate rows its runners apply, and fig1_unitary() is their product
+    assert [event[:4] for event in render("fig1", (0, 0)) if event.step == "circuit"] == list(protocols._FIG1_GATES)
+    np.testing.assert_array_equal(fig1_unitary(), protocols._FIG1_MATRICES[1] @ protocols._FIG1_MATRICES[0])
+
+
+def test_plan_built_operators_are_pinned():
+    """sha256 prefixes of the kernels' map and the fig1 circuit matrix, both built from their gate rows."""
+    assert hashlib.sha256(_INJECT_PHI_PLUS.tobytes()).hexdigest()[:16] == "2f88df69951ebee3"
+    assert hashlib.sha256(fig1_unitary().tobytes()).hexdigest()[:16] == "4e08d6476ed305c8"
+
+
+def test_audit_fails_a_plan_with_a_cnot_onto_the_other_partys_meter():
+    """Alice's CNOT onto Bob's meter (qubit 3) is a nonlocal gate, and only the audit of the plan's trace can see it.
+
+    X on either half of |Phi+> gives the same state, so the mutant's map is the kernels' map bit for bit.
+    """
+    mutant = tuple(
+        (step, party, op, (0, 3) if (party, op) == (ALICE, "gate:CNOT") else qubits)
+        for step, party, op, qubits in NONLOCAL_WIRES
+    )
+    assert _coupled_injection(mutant).tobytes() == _INJECT_PHI_PLUS.tobytes()
+    record = MeasurementRecord("zz", NONLOCAL, (1, -1))
+    setup = protocols._own("setup", protocols._SYSTEM_PARTIES)
+    mutant_trace = [*setup, *protocols._render_nonlocal("szz", protocols._SZZ, record, mutant)]
+    report = locc_audit(mutant_trace)
+    assert not report.passed
+    assert report.violations == ("event 6: alice touched qubits [0, 3] outside its owned set [0, 2]",)
+    assert locc_audit([*setup, *protocols._render_nonlocal("szz", protocols._SZZ, record)]).passed
+
+
 def test_audit_empty_trace_passes():
     report = locc_audit(())
     assert report.passed and report.events_checked == 0
@@ -323,10 +366,15 @@ def _reference_jsonl(trace):
     return "\n".join(_REFERENCE_ENCODER.encode(_reference_event(event)) for event in trace)
 
 
+def render(scheme, leaf):
+    """The trace of a run of ``scheme`` that reached ``leaf``, all stages in one tuple."""
+    return tuple(event for stage in SCHEMES[scheme].stages(leaf) for event in stage)
+
+
 def _leaf_traces(scheme):
     """The trace of every leaf of the scheme's outcome tree."""
     shape = OutcomeTree(bell_state(BellLabel.PHI_PLUS), SCHEMES[scheme].tree).labels.shape
-    return [SCHEMES[scheme].render(leaf) for leaf in np.ndindex(shape)]
+    return [render(scheme, leaf) for leaf in np.ndindex(shape)]
 
 
 @pytest.mark.parametrize("scheme", sorted(TRACE_DIGESTS))
