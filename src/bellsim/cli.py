@@ -113,20 +113,18 @@ def _chi_square(counts: dict, probs: np.ndarray, trials: int) -> float | None:
     return stat
 
 
-def _run_trials(state, config: RunConfig):
+def _run_trials(state, config: RunConfig, trace=None):
     """Sample all trials on one tree; for a Bell filter, the worst filter fidelity over the leaves reached.
 
-    With ``emit_trace``, also write trial 0's trace, rendered from its leaf on that tree
-    and written stage by stage, so one stage's events and lines are held at a time.
+    With ``trace``, an unbuffered binary file, also write trial 0's trace into it, rendered from
+    its leaf on that tree and written stage by stage, so one stage's events and lines are held at a time.
     """
     scheme = get_scheme(config.scheme)
     tree = OutcomeTree(state, scheme.tree)
     leaves = tree.sample(config.trials, config.seed)
-    if config.emit_trace:
-        stages = scheme.stages(tree.walk(RngStream(config.seed).substream(0)))
-        with open(config.emit_trace, "wb", buffering=0) as fh:
-            for stage in stages:
-                _write_all(fh, (trace_to_jsonl(stage) + "\n").encode())
+    if trace is not None:
+        for stage in scheme.stages(tree.walk(RngStream(config.seed).substream(0))):
+            _write_all(trace, (trace_to_jsonl(stage) + "\n").encode())
     if not scheme.filters:
         return tree.label_counts(leaves), None
     worst = min(fidelity(post, bell_state(label)) for _, label, post in tree.reached(leaves))
@@ -137,21 +135,6 @@ def _write_all(fh, data: bytes) -> None:
     """Write ``data`` to the unbuffered file ``fh``, again from where a short write stopped."""
     while data:
         data = data[fh.write(data):]
-
-
-def _writable(path: str) -> bool:
-    """Whether ``path`` can take the trace: a writable file, or a new file name in a writable directory.
-
-    A symlink to no file (dangling, or a loop) names the file where it resolves.
-    """
-    if os.path.exists(path):
-        return not os.path.isdir(path) and os.access(path, os.W_OK)
-    if os.path.islink(path):
-        path = os.path.realpath(path)
-        if os.path.islink(path):  # a loop resolves to one of its own links
-            return False
-    parent = os.path.dirname(os.path.abspath(path))
-    return os.path.basename(path) != "" and os.path.isdir(parent) and os.access(parent, os.W_OK)
 
 
 def _flatten(prefix: str, value, rows: list) -> None:
@@ -199,13 +182,15 @@ def cmd_run(config: RunConfig) -> int:
     if config.emit_trace is not None and scheme.stages is None:
         print("error: --emit-trace is only available for the protocol schemes", file=sys.stderr)
         return 2
-    if config.emit_trace is not None and not _writable(config.emit_trace):
-        print(f"error: --emit-trace path is not writable: {config.emit_trace}", file=sys.stderr)
-        return 2
     try:
         state, renormalized, coefficients = resolve_state(config.state, config.seed)
     except ValueError as exc:
         print(f"error: invalid state spec: {exc}", file=sys.stderr)
+        return 2
+    try:  # the OS decides which paths take the trace; opened, and so truncated, before anything is sampled
+        trace = None if config.emit_trace is None else open(config.emit_trace, "wb", buffering=0)
+    except OSError:
+        print(f"error: --emit-trace path is not writable: {config.emit_trace}", file=sys.stderr)
         return 2
     if renormalized:
         print("warning: state coefficients were renormalized", file=sys.stderr)
@@ -213,10 +198,13 @@ def cmd_run(config: RunConfig) -> int:
     started = time.perf_counter()
     try:
         analytic = analytic_label_distribution(state, config.scheme)
-        counts, worst_fidelity = _run_trials(state, config)
+        counts, worst_fidelity = _run_trials(state, config, trace)
     except Exception as exc:  # invariant breach inside the run
         print(f"error: run failed: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if trace is not None:
+            trace.close()
     duration_ms = (time.perf_counter() - started) * 1000.0
 
     per_run = scheme.ebits_per_run

@@ -165,14 +165,11 @@ class RngStream:
 
     __slots__ = ("seed", "path", "counter", "_key")
 
-    def __init__(self, seed: int, _path: tuple[int, ...] = ()):
+    def __init__(self, seed: int):
         self.seed = _in_range(seed, "seed")
-        self.path = _path
+        self.path = ()
         self.counter = 0
-        key = _mix64(self.seed)
-        for p in self.path:
-            key = _mix64(key + ((p + 1) * _GOLDEN & _MASK64))
-        self._key = key
+        self._key = _mix64(self.seed)
 
     def uniform(self) -> float:
         """Next uniform draw in [0, 1); advances the event counter."""
@@ -180,7 +177,12 @@ class RngStream:
         return (_mix64(self._key + self.counter * _GOLDEN) >> 11) * _DRAW_SCALE
 
     def substream(self, index: int) -> "RngStream":
-        return RngStream(self.seed, self.path + (_in_range(index, "substream index"),))
+        """The stream of path ``path + (index,)``: its key is this stream's key folded with ``index``."""
+        index = _in_range(index, "substream index")
+        child = object.__new__(RngStream)  # no seed to check, and no key to mix from it
+        child.seed, child.path, child.counter = self.seed, (*self.path, index), 0
+        child._key = _mix64(self._key + ((index + 1) * _GOLDEN & _MASK64))
+        return child
 
     def _keys_into(self, start: int, keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Keys of ``substream(i)`` from i = ``start``, as many as ``keys`` holds, written into it for :func:`_keyed_draws`."""
@@ -245,26 +247,26 @@ def _z_branches(amps: np.ndarray, qubit: int):
     return weights, post_of
 
 
-def _floor_rule(weights: list, first: int) -> tuple[bool, list]:
-    """The PROB_FLOOR rule on a row of Born weights, branch j being leaf ``first + j``: (draws, kept).
+def _floor_rule(weights: list) -> tuple[bool, Callable[[int], int]]:
+    """The PROB_FLOOR rule on a row of Born weights: (draws, keep), keep(j) the branch that a pick of branch j keeps.
 
     A pick draws if more than one branch is above the floor. A branch keeps itself, or the row's heaviest
-    branch if it is dead (at or below the floor) or the row takes no draw: no pick keeps a ~null state.
+    branch if it is dead (at or below the floor): no pick keeps a ~null state. A row without a draw has
+    at most one branch above the floor, its heaviest, so each of its picks keeps that one.
     """
-    live = [w > PROB_FLOOR for w in weights]
-    draws = live.count(True) > 1
-    top = first + weights.index(max(weights))
-    return draws, [first + j if draws and alive else top for j, alive in enumerate(live)]
+    draws = len([w for w in weights if w > PROB_FLOOR]) > 1
+    top = weights.index(max(weights))
+    return draws, lambda j: j if weights[j] > PROB_FLOOR else top
 
 
 def _choose_outcome(weights: np.ndarray, rng: RngStream) -> int:
     """Pick an index by its Born weight under :func:`_floor_rule`, drawing only if the row draws; pure Python."""
     weights = weights.tolist()
-    draws, kept = _floor_rule(weights, 0)
+    draws, keep = _floor_rule(weights)
     if not draws:
-        return kept[0]
+        return keep(0)
     cdf = list(accumulate(weights))  # the same sums, in the same order, as np.cumsum
-    return kept[bisect_right(cdf, rng.uniform() * cdf[-1])]
+    return keep(bisect_right(cdf, rng.uniform() * cdf[-1]))
 
 
 class FloorRule(NamedTuple):
@@ -286,8 +288,9 @@ class FloorRule(NamedTuple):
 
     def set_row(self, row: int, weights: np.ndarray) -> None:
         """Fill one row from its weights."""
-        first = row * weights.size
-        self.draws[row], self.kept[first:first + weights.size] = _floor_rule(weights.tolist(), first)
+        k = weights.size
+        self.draws[row], keep = _floor_rule(weights.tolist())
+        self.kept[row * k:(row + 1) * k] = [row * k + keep(j) for j in range(k)]
         self.cdf[row] = weights.cumsum()
 
     def choose(self, row: int, rng: RngStream) -> int:

@@ -8,10 +8,10 @@ products measured on shared ebits) and ``photonic`` (the optical model of
 A runner is the physics of one run: it calls the measurement kernels, debits
 the ebits they spent and returns a :class:`ProtocolResult` with the outcome
 pair (m, n), the Bell label and the ledger. When asked, it then renders the
-run's event trace from the readouts: local operations, measurements and the
-symmetric exchange of outcome bits (``send`` events), after which each party
-derives the result. A row's ``stages`` draw the same trace, stage by stage,
-from a leaf of the scheme's outcome tree. :func:`locc_audit` checks a trace
+run's event trace, as ``--emit-trace`` does, with its row's ``stages`` from
+the leaf of the outcome tree that its readouts name: local operations,
+measurements and the symmetric exchange of outcome bits (``send`` events),
+after which each party derives the result. :func:`locc_audit` checks a trace
 for locality violations. :class:`OutcomeTree` samples untraced runs: a few
 trial by trial, more in batches.
 """
@@ -176,7 +176,7 @@ def _require_two_qubits(s: StateVector) -> None:
         raise ValueError("expected a 2-qubit state")
 
 
-# --- Traces: rendered once from a run's readouts -------------------------------
+# --- Traces: rendered from a leaf of the outcome tree, stage by stage -----------
 
 _BASIS_GATE_OP = {"x": "gate:H", "y": "gate:HSdg"}
 
@@ -237,46 +237,39 @@ def _render_local(stage: str, sp: SpinProduct, record: MeasurementRecord) -> lis
 _RENDER_STAGE = {NONLOCAL: _render_nonlocal, LOCAL: _render_local}
 
 
-def _events(stages) -> tuple[TraceEvent, ...]:
-    """A route's trace, rendered stage by stage (one list of events per stage), as one tuple."""
-    return tuple(event for stage in stages for event in stage)
-
-
-def _fig1_stages(z_a: int, z_b: int, label: BellLabel):
-    """Ownership of both wires; then the circuit (a CNOT across both wires, H on Alice's), readout and exchange."""
-    yield _own("setup", _SYSTEM_PARTIES)
-    yield [
-        *(TraceEvent(*row) for row in _FIG1_GATES),
-        TraceEvent("readout", ALICE, "measure:z", (_SYSTEM_A,), outcome=z_a),
-        TraceEvent("readout", BOB, "measure:z", (_SYSTEM_B,), outcome=z_b),
-        *_exchange("readout", "classify", z_a, z_b, label.value),
-    ]
-
-
-def _spin_product_stages(szz: MeasurementRecord, sxx: MeasurementRecord):
-    """Ownership of the system, then the S_zz and the S_xx stage, each as its strategy renders it."""
-    yield _own("setup", _SYSTEM_PARTIES)
-    yield _RENDER_STAGE[szz.strategy]("szz", _SZZ, szz)
-    yield _RENDER_STAGE[sxx.strategy]("sxx", _SXX, sxx)
+def _trace(scheme: str, leaf) -> tuple[TraceEvent, ...]:
+    """The trace that ``SCHEMES[scheme].stages`` render for ``leaf``, stage by stage, as one tuple."""
+    return tuple(event for stage in SCHEMES[scheme].stages(leaf) for event in stage)
 
 
 # A scheme's stages(leaf) are the trace of the run that reached ``leaf``, (i, j)
 # as OutcomeTree numbers it: the first and the second stage's branch.
 
 
-def _fig1_leaf_stages(leaf):
-    """fig1's readout bits of Alice's and Bob's wire, as :func:`run_fig1` reads them out."""
+def _fig1_stages(leaf):
+    """Ownership of both wires; then the circuit (a CNOT across both wires, H on Alice's), readout and exchange.
+
+    ``leaf`` holds the readout bits of Alice's and Bob's wire, as :func:`run_fig1` reads them out.
+    """
     bit_a, bit_b = leaf
     z_a, z_b = 1 - 2 * bit_a, 1 - 2 * bit_b
-    return _fig1_stages(z_a, z_b, classify(z_b, z_a))
+    yield _own("setup", _SYSTEM_PARTIES)
+    yield [
+        *(TraceEvent(*row) for row in _FIG1_GATES),
+        TraceEvent("readout", ALICE, "measure:z", (_SYSTEM_A,), outcome=z_a),
+        TraceEvent("readout", BOB, "measure:z", (_SYSTEM_B,), outcome=z_b),
+        *_exchange("readout", "classify", z_a, z_b, classify(z_b, z_a).value),
+    ]
 
 
-def _spin_product_leaf_stages(first: str, second: str):
-    """The S_zz and S_xx readout indices, recorded as the ``first`` and ``second`` strategy record them."""
+def _spin_product_stages(first: str, second: str):
+    """Ownership of the system, then S_zz's readout index i by the ``first`` strategy and S_xx's j by the ``second``."""
 
     def stages(leaf):
         i, j = leaf
-        return _spin_product_stages(_branch_record(_SZZ, first, i), _branch_record(_SXX, second, j))
+        yield _own("setup", _SYSTEM_PARTIES)
+        yield _RENDER_STAGE[first]("szz", _SZZ, _branch_record(_SZZ, first, i))
+        yield _RENDER_STAGE[second]("sxx", _SXX, _branch_record(_SXX, second, j))
 
     return stages
 
@@ -297,7 +290,7 @@ def run_fig1(s: StateVector, rng: RngStream, record_trace: bool = True) -> Proto
     z_a, state = measure_local_pauli(state, _SYSTEM_A, "z", rng)
     z_b, state = measure_local_pauli(state, _SYSTEM_B, "z", rng)
     outcomes = (z_b, z_a)  # the wire carrying the Hadamard resolves +/-, the other Phi/Psi
-    trace = _events(_fig1_stages(z_a, z_b, classify(*outcomes))) if record_trace else ()
+    trace = _trace("fig1", ((1 - z_a) >> 1, (1 - z_b) >> 1)) if record_trace else ()  # the readout bits
     return ProtocolResult(outcomes, state, trace, ledger)
 
 
@@ -313,7 +306,8 @@ def _run_spin_products(s: StateVector, rng: RngStream, scheme: str, second: Call
     sxx, state = second(state, _SXX, rng)
     for record in (szz, sxx):
         ledger.consume(record.ebits_consumed)
-    trace = _events(_spin_product_stages(szz, sxx)) if record_trace else ()
+    (z_a, z_b), (x_a, x_b) = szz.local_outcomes, sxx.local_outcomes  # a stage's branch: 2 * bit(z_A) + bit(z_B)
+    trace = _trace(scheme, ((1 - z_a) + ((1 - z_b) >> 1), (1 - x_a) + ((1 - x_b) >> 1))) if record_trace else ()
     outcomes = (szz.product_outcome, sxx.product_outcome)
     return ProtocolResult(outcomes, state if row.filters else None, trace, ledger)
 
@@ -512,7 +506,7 @@ class Scheme(NamedTuple):
     """One route to the Bell measurement."""
 
     ebits_per_run: int
-    # per-trial runner on the kernels, which renders a trace from its readouts; None for the photonic model
+    # per-trial runner on the kernels, which renders its trace through ``stages``; None for the photonic model
     runner: Callable[..., ProtocolResult] | None
     stages: Callable | None  # leaf of the tree -> the trace of a run that reached it, stage by stage; None for photonic
     tree: Callable  # s -> (first-stage weights, child, labels), as above
@@ -523,13 +517,13 @@ class Scheme(NamedTuple):
 
 # The photonic run spends its path-entangled pair: the same one-ebit meter.
 SCHEMES = {
-    "fig1": Scheme(0, run_fig1, _fig1_leaf_stages, _fig1_tree, _fig1_analytic, False),
+    "fig1": Scheme(0, run_fig1, _fig1_stages, _fig1_tree, _fig1_analytic, False),
     "scheme_a": Scheme(
-        1, run_scheme_a, _spin_product_leaf_stages(NONLOCAL, LOCAL), _spin_product_tree(NONLOCAL, LOCAL),
+        1, run_scheme_a, _spin_product_stages(NONLOCAL, LOCAL), _spin_product_tree(NONLOCAL, LOCAL),
         _scheme_a_analytic, False,
     ),
     "scheme_b": Scheme(
-        2, run_scheme_b, _spin_product_leaf_stages(NONLOCAL, NONLOCAL), _spin_product_tree(NONLOCAL, NONLOCAL),
+        2, run_scheme_b, _spin_product_stages(NONLOCAL, NONLOCAL), _spin_product_tree(NONLOCAL, NONLOCAL),
         _scheme_b_analytic, True,
     ),
     "photonic": Scheme(1, None, None, _photonic_tree, photonic.label_distribution, False),

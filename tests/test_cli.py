@@ -452,7 +452,12 @@ def test_emit_trace_writes_jsonl(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "where", ["missing/t.jsonl", ".", "", "somefile/t.jsonl", "newdir/", "dangling.jsonl", "loop.jsonl"]
+    "where",
+    [
+        "missing/t.jsonl", ".", "", "somefile/t.jsonl", "newdir/", "dangling.jsonl", "loop.jsonl",
+        pytest.param("a" * 300 + ".jsonl", id="name-too-long"),  # longer than the file system takes
+        "missing/../t.jsonl",  # the OS resolves "missing" before ".."
+    ],
 )
 def test_emit_trace_unwritable_path_exits_two_before_sampling(capsys, monkeypatch, tmp_path, where):
     def must_not_sample(*args, **kwargs):
@@ -470,6 +475,18 @@ def test_emit_trace_unwritable_path_exits_two_before_sampling(capsys, monkeypatc
     )
     assert code == 2
     assert out == "" and "emit-trace" in err and "not writable" in err
+
+
+def test_bad_state_spec_exits_two_and_leaves_the_trace_file_as_it_was(capsys, tmp_path):
+    """The trace file is opened only once the state spec is accepted."""
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b"an earlier trace\n")
+    code, out, err = run_cli(
+        capsys, "run", "--scheme", "fig1", "--state=1,2,3", "--trials", "3", "--emit-trace", str(path),
+    )
+    assert code == 2
+    assert out == "" and "invalid state spec" in err
+    assert path.read_bytes() == b"an earlier trace\n"
 
 
 def test_emit_trace_through_a_symlink_to_a_new_file(capsys, tmp_path):
@@ -500,6 +517,19 @@ def test_run_failure_exits_three(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "run", "--scheme", "scheme_a", "--state", "PhiPlus", "--trials", "5")
     assert code == 3
     assert out == "" and "norm drifted" in err
+
+
+def test_run_failing_after_the_trace_file_is_opened_exits_three_with_it_empty(capsys, monkeypatch, tmp_path):
+    """The file is opened, and so truncated, before sampling: a run that then fails leaves it empty."""
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b"an earlier trace\n")
+    monkeypatch.setattr(cli.OutcomeTree, "sample", _explode)
+    code, out, err = run_cli(
+        capsys, "run", "--scheme", "scheme_b", "--state", "PhiPlus", "--trials", "3", "--emit-trace", str(path),
+    )
+    assert code == 3
+    assert out == "" and "norm drifted" in err
+    assert path.read_bytes() == b""
 
 
 @pytest.mark.parametrize("where", ["render", "write", "device"])

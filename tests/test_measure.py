@@ -48,6 +48,26 @@ def test_rng_substreams_deterministic_and_distinct():
     assert RngStream(np.uint64(99)).substream(np.int64(3)).uniform() == draws[3]
 
 
+def _splitmix(x):
+    x &= 2**64 - 1
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & 2**64 - 1
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & 2**64 - 1
+    return x ^ (x >> 31)
+
+
+@pytest.mark.parametrize("seed, path", [(0, (0, 0, 0)), (99, (3, 1, 4)), (2**64 - 1, (2**64 - 1, 0, 2**64 - 2))])
+def test_substream_chain_draws_on_the_path_folded_from_the_seed(seed, path):
+    """A depth-3 chain of substreams derived key from key draws what its whole path folded into the seed draws."""
+    golden = 0x9E3779B97F4A7C15
+    key = _splitmix(seed)
+    for index in path:
+        key = _splitmix(key + (index + 1) * golden)
+    expected = [(_splitmix(key + i * golden) >> 11) * 2.0**-53 for i in (1, 2, 3)]
+    stream = RngStream(seed).substream(path[0]).substream(path[1]).substream(path[2])
+    assert stream.path == path and stream.seed == seed
+    assert [stream.uniform() for _ in range(3)] == expected
+
+
 @pytest.mark.parametrize("make", [
     lambda: RngStream(-1),
     lambda: RngStream(2**64),

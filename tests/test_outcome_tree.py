@@ -49,6 +49,8 @@ from bellsim.protocols import (
 )
 from bellsim.qstate import fidelity, haar_random_state, make_state
 
+from state_strategies import states
+
 SEEDS = st.one_of(st.sampled_from([0, 7, 2**64 - 1]), st.integers(min_value=0, max_value=2**64 - 1))
 # one trial and the sizes around the walk's crossover; then chunks: around one, and two with a short tail
 WALKED = [1, TREE_WALK - 1, TREE_WALK, TREE_WALK + 1]
@@ -126,6 +128,75 @@ def test_walk_matches_the_chunks(s, scheme, trials, seed):
         leaves[walked.walk(root.substream(t))] += 1
     assert chunked._chunks(root, trials).tolist() == leaves.tolist()
     assert walked.sample(trials, seed).tolist() == leaves.tolist()  # on either side of TREE_WALK
+
+
+def _pick_law(rule, row):
+    """The exact law of the leaf a pick of ``row`` keeps, over the 2**53 draw words m of a draw m * 2**-53.
+
+    The pick compares fl(m * 2**-53 * total) with the running sums; that value is monotone in m, so a
+    bisection finds how many words fall below each sum. Each branch's words go to the leaf ``kept`` names.
+    """
+    k = rule.cdf.shape[1]
+    law = np.zeros(rule.kept.size)
+    if not rule.draws[row]:
+        law[rule.kept[row * k]] = 1.0
+        return law[row * k:(row + 1) * k]
+    cdf = rule.cdf[row].tolist()
+    below = []
+    for c in cdf:
+        lo, hi = 0, 2**53
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if mid * 2.0**-53 * cdf[-1] < c else (lo, mid)
+        below.append(lo)
+    assert below[-1] == 2**53  # every draw lands below the total: no pick runs past the last branch
+    for j, words in enumerate(np.diff([0, *below]).tolist()):
+        law[rule.kept[row * k + j]] += words * 2.0**-53
+    return law[row * k:(row + 1) * k]
+
+
+def _moved(weights):
+    """The Born mass a pick on ``weights`` moves: its dead branches', and what the row's total lacks of 1.
+
+    A pick draws on the weights over their total. That total is 1 within a few ulps (1.6e-15 at most on
+    3000 Haar states), or a wrong weight could hide in this allowance.
+    """
+    assert abs(1.0 - weights.sum()) <= 1e-14
+    return weights[weights <= PROB_FLOOR].sum() / weights.sum() + abs(1.0 - weights.sum())
+
+
+def _sampler_law(s, scheme):
+    """The label law the sampler draws, with no sampling noise, and the Born mass it moved, stage by stage."""
+    weights, child, labels = SCHEMES[scheme].tree(s)
+    first = FloorRule.empty(1, weights.size)
+    first.set_row(0, weights)
+    law, moved = _pick_law(first, 0), _moved(weights)
+    leaves = law[:, None] * np.ones(labels.shape)
+    if child is not None:
+        second = FloorRule.empty(*labels.shape)
+        for i in np.flatnonzero(law).tolist():  # a row no pick keeps is never built
+            inner = child(i)[0]
+            second.set_row(i, inner)
+            leaves[i] *= _pick_law(second, i)
+            moved += weights[i] * _moved(inner)
+    return np.bincount(labels.ravel(), leaves.ravel(), len(BellLabel)), moved
+
+
+@given(s=st.one_of(STATES, states(2)))
+@settings(max_examples=60, deadline=None)
+@example(s=cli.resolve_state("1,0,1.5e-6,2.5e-8", 0)[0])
+@example(s=_spec((0, 1, 2, 3), np.pi / 4, PROB_FLOOR, True))
+@example(s=_spec((2, 0, 1, 3), np.pi / 3, np.nextafter(PROB_FLOOR, 1.0), False))
+def test_sampler_law_is_the_analytic_law_up_to_the_moved_mass(s):
+    """Every scheme's exact sampler law, summed onto labels, is its analytic law within 1e-15 plus the moved mass.
+
+    The weights' total counts: on Haar state 1481 (``default_rng(1481)``) the photonic register's weights sum
+    to 1 - 1.2e-15 and the gap reads 1.2e-15, while the sampler law is within 1.4e-16 of the weights over their total.
+    """
+    for scheme, row in SCHEMES.items():
+        law, moved = _sampler_law(s, scheme)
+        assert abs(law.sum() - 1.0) <= 1e-15
+        assert np.abs(law - row.analytic(s)).max() <= 1e-15 + moved
 
 
 @given(seed=SEEDS, start=st.integers(0, 2**40), size=st.integers(1, 5), counter=st.integers(1, 4))
@@ -264,14 +335,17 @@ def test_sampling_heap_per_chunk_trial(scheme):
 def test_traced_run_heap_peak(tmp_path):
     """A traced 7-trial scheme_b run holds one stage of its 34-event trace at a time, not the whole trace and text.
 
-    The lower of two peaks reads 12.4-12.6 KB (2 cores, Python 3.11.7, numpy 2.4.6); the whole trace held read 23.1 KB.
+    The lower of two peaks reads 11.8 KB into a file the caller opened (2 cores, Python 3.11.7, numpy 2.4.6);
+    the whole trace held read 23.1 KB.
     """
     s = haar_random_state(2, np.random.default_rng(11))
-    config = cli.RunConfig(scheme="scheme_b", state="-", trials=7, seed=1, emit_trace=str(tmp_path / "t.jsonl"))
-    cli._run_trials(s, config)  # numpy's and the file system's first-call caches are not the run's
-    gc.collect()
-    # the lower of two: the first traced call after the warm-up reads about 3 KB high
-    assert min(_heap_peak(lambda: cli._run_trials(s, config)) for _ in range(2)) <= 14_000
+    path = tmp_path / "t.jsonl"
+    config = cli.RunConfig(scheme="scheme_b", state="-", trials=7, seed=1, emit_trace=str(path))
+    with open(path, "wb", buffering=0) as trace:
+        cli._run_trials(s, config, trace)  # numpy's and the file system's first-call caches are not the run's
+        gc.collect()
+        # the lower of two: the first traced call after the warm-up reads about 3 KB high
+        assert min(_heap_peak(lambda: cli._run_trials(s, config, trace)) for _ in range(2)) <= 14_000
 
 
 def _reference_choose_outcome(weights, rng):

@@ -338,7 +338,8 @@ def test_emitted_leaf_traces_match_pinned_digests(scheme, tmp_path):
     for k, s in enumerate(_digest_states()):
         for seed in range(64):
             path, trials = tmp_path / f"{k}-{seed}.jsonl", 1 if seed % 2 else TREE_WALK
-            cli._run_trials(s, cli.RunConfig(scheme, "-", trials, seed, emit_trace=str(path)))
+            with open(path, "wb", buffering=0) as trace:
+                cli._run_trials(s, cli.RunConfig(scheme, "-", trials, seed, emit_trace=str(path)), trace)
             digest.update(path.read_bytes())
     assert digest.hexdigest()[:16] == TRACE_DIGESTS[scheme]
 
