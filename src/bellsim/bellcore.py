@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .qstate import ATOL, PAULIS, StateVector
+from .qstate import ATOL, PAULIS, StateVector, _require_two_qubits
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -41,7 +41,8 @@ class BellLabel(Enum):
         return _LABEL_INDEX[self]
 
 
-_LABEL_INDEX = {label: k for k, label in enumerate(BellLabel)}
+_LABELS = tuple(BellLabel)  # in index order
+_LABEL_INDEX = {label: k for k, label in enumerate(_LABELS)}
 
 # the four Bell states, built once at import (immutable, so shared)
 _BELL_STATES = MappingProxyType({
@@ -93,8 +94,7 @@ class BellCoefficients:
 
 def to_bell(s: StateVector) -> BellCoefficients:
     """Expand a 2-qubit state in the Bell basis."""
-    if s.n_qubits != 2:
-        raise ValueError("expected a 2-qubit state")
+    _require_two_qubits(s)
     return BellCoefficients(*(complex(np.vdot(bell.amplitudes, s.amplitudes)) for bell in _BELL_STATES.values()))
 
 

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bellcore import BellCoefficients, BellLabel, bell_state, from_bell, to_bell
-from .measure import RngStream
+from .measure import OutcomeTree, RngStream
 from .protocols import (
     SCHEMES,
-    OutcomeTree,
     analytic_label_distribution,
     get_scheme,
     iterate_runs,  # noqa: F401 -- perfbench/layers.py wraps it as a cli span

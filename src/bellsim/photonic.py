@@ -32,7 +32,7 @@ import numpy as np
 
 from .bellcore import BellLabel, bell_state, classify
 from .measure import RngStream, _choose_outcome
-from .qstate import HADAMARD, StateVector, _axis_orders, bit_of, computational_state
+from .qstate import HADAMARD, StateVector, _axis_orders, _require_two_qubits, bit_of, computational_state
 
 N_QUBITS = 6
 
@@ -116,8 +116,7 @@ def build_photonic_run(s: StateVector, block_order=(REGISTER_A, REGISTER_B)) -> 
     on disjoint qubits, so ``block_order`` has no physical effect; it exists
     to let tests demonstrate exactly that.
     """
-    if s.n_qubits != 2:
-        raise ValueError("expected a 2-qubit polarization state")
+    _require_two_qubits(s)
     plan = _PLANS.get(tuple(block_order))
     if plan is None:
         raise ValueError("block_order must be a permutation of (REGISTER_A, REGISTER_B)")

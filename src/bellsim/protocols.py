@@ -12,8 +12,8 @@ run's event trace, as ``--emit-trace`` does, with its row's ``stages`` from
 the leaf of the outcome tree that its readouts name: local operations,
 measurements and the symmetric exchange of outcome bits (``send`` events),
 after which each party derives the result. :func:`locc_audit` checks a trace
-for locality violations. :class:`OutcomeTree` samples untraced runs: a few
-trial by trial, more in batches.
+for locality violations, and :func:`outcome_distribution` samples untraced
+runs on a scheme's tree (:class:`bellsim.measure.OutcomeTree`).
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bellcore import BellLabel, SpinProduct, classify, spin_product
+from .bellcore import _LABELS, BellLabel, SpinProduct, classify, spin_product
 from .measure import (
     ALICE,
     BOB,
@@ -33,19 +33,16 @@ from .measure import (
     NONLOCAL,
     NONLOCAL_WIRES,
     STRATEGIES,
-    FloorRule,
     MeasurementRecord,
+    OutcomeTree,
     RngStream,
     _branch_record,
-    _ChunkWork,
-    _keyed_draws,
-    _operand,
     _z_branches,
     local_product_measurement,
     measure_local_pauli,
     nonlocal_product_measurement,
 )
-from .qstate import CNOT, HADAMARD, ID2, StateVector, _wrap
+from .qstate import CNOT, HADAMARD, ID2, StateVector, _require_two_qubits
 from . import bellcore, photonic
 
 # The qubits the LOCC audit lets each party touch: system qubits 0 (Alice) and 1 (Bob); meter qubits
@@ -171,11 +168,6 @@ class AuditReport:
 _SZZ, _SXX = spin_product("z", "z"), spin_product("x", "x")
 
 
-def _require_two_qubits(s: StateVector) -> None:
-    if s.n_qubits != 2:
-        raise ValueError("expected a 2-qubit state")
-
-
 # --- Traces: rendered from a leaf of the outcome tree, stage by stage -----------
 
 _BASIS_GATE_OP = {"x": "gate:H", "y": "gate:HSdg"}
@@ -298,8 +290,8 @@ def _run_spin_products(s: StateVector, rng: RngStream, scheme: str, second: Call
     """Nonlocal S_zz, then S_xx by the ``second`` kernel, as :func:`_spin_product_tree`.
 
     The body of schemes (a) and (b); only a Bell filter reports its post-state.
+    The S_zz kernel checks that ``s`` has two qubits.
     """
-    _require_two_qubits(s)
     row = SCHEMES[scheme]
     ledger = ResourceLedger(row.ebits_per_run)
     szz, state = nonlocal_product_measurement(s, _SZZ, rng)
@@ -397,16 +389,7 @@ def locc_audit(trace) -> AuditReport:
 
 
 # --- Outcome trees: the branches every untraced run of a scheme can take -------
-#
-# Every trial of a run starts from the same state, and a stage's post-state
-# depends only on the branch it took, so all trials walk one tree: a first
-# stage, then a second stage after each first-stage branch. A builder returns
-# (first-stage weights, child, labels): child(i) is (weights, post_of) of the
-# second stage after branch i (None when there is no second stage), and
-# labels[i, j] is the index of the Bell label that leaf (i, j) names.
-
-_LABELS = tuple(BellLabel)  # in index order
-
+# Each builder returns (first-stage weights, child, labels) in the shape measure.OutcomeTree samples.
 
 # fig1 output bits [z_a][z_b] -> Bell label of the input
 _FIG1_LABELS = np.array([
@@ -509,7 +492,7 @@ class Scheme(NamedTuple):
     # per-trial runner on the kernels, which renders its trace through ``stages``; None for the photonic model
     runner: Callable[..., ProtocolResult] | None
     stages: Callable | None  # leaf of the tree -> the trace of a run that reached it, stage by stage; None for photonic
-    tree: Callable  # s -> (first-stage weights, child, labels), as above
+    tree: Callable  # s -> (first-stage weights, child, labels), as measure.OutcomeTree samples them
     analytic: Callable  # s -> label probabilities in label order, along the route's own algebra
     # a Bell filter: the post-state is the labelled Bell state, so a run reports its fidelity
     filters: bool
@@ -551,124 +534,6 @@ def iterate_runs(s: StateVector, scheme: str, trials: int, seed: int):
     root = RngStream(seed)
     for t in range(trials):
         yield runner(s, root.substream(t), record_trace=False)
-
-
-# Trials per chunk of OutcomeTree.sample. A chunk costs about the same numpy
-# calls whatever its size, so what bounds it is a run's heap peak: the CLI's
-# parsing garbage, plus the second-stage weights the tree keeps, plus 32 bytes
-# per chunk-trial of work buffers. perfbench mc-throughput's largest call
-# (2000-trial runs; 2 cores, Python 3.11.7, numpy 2.4.6) peaks at 35.5 KB at
-# 64, 35.6 KB at 128, 36.7 KB at 192 and 38.9 KB at 256; 192 stays within 2 %
-# of the 36.1 KB at 64 of a tree that also kept every stage's post-states.
-TREE_CHUNK = 192
-# Runs of fewer trials are walked trial by trial (OutcomeTree.walk): a walked
-# trial costs 6-12 us, a run's first chunk 60-200 us whatever its size. Summed
-# over the four schemes, cli._run_trials is cheaper walked up to 8 trials,
-# within 2 % either way at 9 and cheaper chunked from 10 (photonic crosses
-# near 7, the others near 9-10; 2 cores, Python 3.11.7, numpy 2.4.6; the
-# sweeps are in BENCH_16.json). With the chunks' scalar operands prebuilt the
-# sum crosses near 7 (BENCH_19.json); the constant stays until a change that
-# re-measures small runs moves it.
-TREE_WALK = 9
-
-
-class OutcomeTree:
-    """Batched Monte Carlo of untraced runs, bit-identical to the runners.
-
-    Trial t replays what the runner draws on ``RngStream(seed).substream(t)``:
-    draw 1 for the first stage, draw 1 + (draws the first stage took) for
-    the second, none for a stage with one live branch (:class:`FloorRule`).
-    A second stage's weights are built when a trial first reaches them.
-    ``build`` is a tree builder of the shape above, such as a scheme's ``tree``.
-    A leaf is (i, j): branch i of the first stage, then branch j of the
-    second (0 when there is none), the index of ``labels`` it names.
-    """
-
-    def __init__(self, s: StateVector, build: Callable):
-        _require_two_qubits(s)
-        weights, self._child, self.labels = build(s)
-        self._first = FloorRule.empty(1, weights.size)
-        self._first.set_row(0, weights)
-        if self._child:
-            self._second = FloorRule.empty(*self.labels.shape)
-            self._second_draws = False  # a second stage built so far takes a draw
-            self._unbuilt = set(self._first.kept.tolist())
-
-    def walk(self, rng: RngStream) -> tuple[int, int]:
-        """The leaf that the run drawing on ``rng`` reaches: one trial of :meth:`sample`, as the runner draws it."""
-        i = self._first.choose(0, rng)
-        if not self._child:
-            return i, 0
-        self._reach(i)
-        return divmod(self._second.choose(i, rng), self.labels.shape[1])
-
-    def sample(self, trials: int, seed: int) -> np.ndarray:
-        """Leaf histogram of ``trials`` runs; trial t draws from ``RngStream(seed).substream(t)``.
-
-        Fewer than :data:`TREE_WALK` trials are walked one by one; more are
-        replayed in chunks of :data:`TREE_CHUNK`.
-        """
-        root = RngStream(seed)
-        if trials < TREE_WALK:
-            leaves = np.zeros(self.labels.shape, np.int64)
-            for t in range(trials):
-                leaves[self.walk(root.substream(t))] += 1
-            return leaves
-        return self._chunks(root, trials)
-
-    def _chunks(self, root: RngStream, trials: int) -> np.ndarray:
-        """:meth:`sample` in chunks.
-
-        Each chunk works in the same three words per trial and the same views of them
-        (:class:`~bellsim.measure._ChunkWork`): the substream keys, the draw word and a scratch word.
-        """
-        work = _ChunkWork.of(*np.empty((3, min(TREE_CHUNK, trials)), np.uint64))
-        leaves = np.zeros(self.labels.size, dtype=np.int64)
-        for start in range(0, trials, TREE_CHUNK):
-            if trials - start < work.keys.size:  # the last chunk is short
-                work = work.head(trials - start)
-            leaves += np.bincount(self._chunk(root, start, work), minlength=leaves.size)
-        return leaves.reshape(self.labels.shape)
-
-    def _chunk(self, root: RngStream, start: int, work: _ChunkWork) -> np.ndarray:
-        """The leaf of each trial of the chunk from ``start``, one per column of the buffers."""
-        first_draws = bool(self._first.draws[0])
-        if first_draws:
-            root._keys_into(start, work.keys, work.scratch)
-            leaf = self._first.leaves_in_row(_keyed_draws(work, 1))
-        else:
-            leaf = np.full(work.keys.size, self._first.kept[0])
-        if not self._child:
-            return leaf
-        if self._unbuilt:
-            hit = np.bincount(leaf, minlength=len(self.labels))
-            for i in [i for i in self._unbuilt if hit[i]]:
-                self._reach(i)
-        if not self._second_draws:  # every row reached keeps its heaviest branch
-            leaf *= _operand(self.labels.shape[1], np.intp)
-            return self._second.keep(leaf)
-        if not first_draws:
-            root._keys_into(start, work.keys, work.scratch)
-        return self._second.leaves_by_row(leaf, _keyed_draws(work, 1 + first_draws), work)
-
-    def _reach(self, i: int) -> None:
-        """Build the second stage after first-stage branch ``i`` when a trial first reaches it."""
-        if i in self._unbuilt:
-            self._second.set_row(i, self._child(i)[0])
-            self._second_draws |= bool(self._second.draws[i])
-            self._unbuilt.discard(i)
-
-    def label_counts(self, leaves: np.ndarray) -> dict:
-        """Histogram over the four Bell labels of a leaf histogram."""
-        totals = np.bincount(self.labels.ravel(), leaves.ravel(), len(_LABELS))
-        return {label: int(total) for label, total in zip(_LABELS, totals)}
-
-    def reached(self, leaves: np.ndarray):
-        """Yield (leaf, label, post-state) of every two-stage leaf a trial reached; each reached row is rebuilt once."""
-        for i in np.flatnonzero(leaves.any(axis=1)).tolist():
-            post_of = self._child(i)[1]
-            for j in np.flatnonzero(leaves[i]).tolist():
-                yield (i, j), _LABELS[self.labels[i, j]], _wrap(2, post_of(j))
 
 
 def outcome_distribution(s: StateVector, scheme: str, trials: int, seed: int) -> dict:

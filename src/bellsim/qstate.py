@@ -76,12 +76,13 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StateVector(n_qubits={self.n_qubits}, amplitudes={self.amplitudes!r})"
+
+
+def _require_two_qubits(s: StateVector) -> None:
+    if s.n_qubits != 2:
+        raise ValueError("expected a 2-qubit state")
 
 
 def _wrap(n_qubits: int, amplitudes: np.ndarray) -> StateVector:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bellcore import (
+    _LABELS,
     BellLabel,
     bell_state,
     classify,
@@ -31,6 +32,7 @@ from .bellcore import (
 from .measure import (
     LOCAL,
     STRATEGIES,
+    OutcomeTree,
     RngStream,
     meas_operator_family,
     nonlocal_product_measurement,
@@ -39,7 +41,6 @@ from .measure import (
 from .photonic import DetectorIndex, REGISTER_A, REGISTER_B, build_photonic_run, label_distribution, photonic_label
 from .protocols import (
     SCHEMES,
-    OutcomeTree,
     _spin_product_tree,
     analytic_label_distribution,
     locc_audit,
@@ -60,7 +61,6 @@ from .qstate import (
 )
 
 AXES = ("x", "y", "z")
-_LABELS = list(BellLabel)
 # rows are the four Bell state amplitude vectors, in label order
 _BELL_MATRIX = np.array([bell_state(label).amplitudes for label in _LABELS])
 

@@ -28,7 +28,10 @@ from bellsim.measure import (
     _STEPS,
     LOCAL,
     PROB_FLOOR,
+    TREE_CHUNK,
+    TREE_WALK,
     FloorRule,
+    OutcomeTree,
     RngStream,
     _ChunkWork,
     _choose_outcome,
@@ -40,9 +43,6 @@ from bellsim.measure import (
 )
 from bellsim.protocols import (
     SCHEMES,
-    TREE_CHUNK,
-    TREE_WALK,
-    OutcomeTree,
     _spin_product_tree,
     iterate_runs,
     outcome_distribution,

@@ -7,19 +7,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellsim.bellcore import BellCoefficients, BellLabel, bell_state, from_bell, outcome_pair, to_bell
+from bellsim.bellcore import BellCoefficients, BellLabel, bell_state, from_bell, outcome_pair, spin_product, to_bell
 from bellsim import cli, photonic, protocols
 from bellsim.cli import resolve_state
-from bellsim.measure import ALICE, NONLOCAL, NONLOCAL_WIRES, MeasurementRecord, RngStream, _coupled_injection, _INJECT_PHI_PLUS
+from bellsim.measure import (
+    ALICE,
+    NONLOCAL,
+    NONLOCAL_WIRES,
+    TREE_WALK,
+    MeasurementRecord,
+    OutcomeTree,
+    RngStream,
+    _coupled_injection,
+    _INJECT_PHI_PLUS,
+    local_product_measurement,
+    nonlocal_product_measurement,
+)
 from bellsim.protocols import (
     AuditReport,
     ClassicalMessage,
-    OutcomeTree,
     Party,
     ProtocolResult,
     ResourceLedger,
     SCHEMES,
-    TREE_WALK,
     TraceEvent,
     analytic_label_distribution,
     fig1_unitary,
@@ -223,10 +233,10 @@ def test_nonlocal_traces_render_the_wire_plan_the_kernels_run():
     assert _coupled_injection(NONLOCAL_WIRES).tobytes() == _INJECT_PHI_PLUS.tobytes()
     for scheme, stages in (("scheme_a", ("szz",)), ("scheme_b", ("szz", "sxx"))):
         for leaf in np.ndindex(4, 4):
-            trace = render(scheme, leaf)
+            trace = protocols._trace(scheme, leaf)
             assert all(_plan_events(trace, stage) == list(NONLOCAL_WIRES) for stage in stages)
     # fig1's circuit events are the gate rows its runners apply, and fig1_unitary() is their product
-    assert [event[:4] for event in render("fig1", (0, 0)) if event.step == "circuit"] == list(protocols._FIG1_GATES)
+    assert [event[:4] for event in protocols._trace("fig1", (0, 0)) if event.step == "circuit"] == list(protocols._FIG1_GATES)
     np.testing.assert_array_equal(fig1_unitary(), protocols._FIG1_MATRICES[1] @ protocols._FIG1_MATRICES[0])
 
 
@@ -367,15 +377,10 @@ def _reference_jsonl(trace):
     return "\n".join(_REFERENCE_ENCODER.encode(_reference_event(event)) for event in trace)
 
 
-def render(scheme, leaf):
-    """The trace of a run of ``scheme`` that reached ``leaf``, all stages in one tuple."""
-    return tuple(event for stage in SCHEMES[scheme].stages(leaf) for event in stage)
-
-
 def _leaf_traces(scheme):
     """The trace of every leaf of the scheme's outcome tree."""
     shape = OutcomeTree(bell_state(BellLabel.PHI_PLUS), SCHEMES[scheme].tree).labels.shape
-    return [render(scheme, leaf) for leaf in np.ndindex(shape)]
+    return [protocols._trace(scheme, leaf) for leaf in np.ndindex(shape)]
 
 
 @pytest.mark.parametrize("scheme", sorted(TRACE_DIGESTS))
@@ -512,6 +517,25 @@ def test_outcome_distribution_validates_arguments():
         outcome_distribution(s, "scheme_a", 0, 1)
     with pytest.raises(ValueError, match="unknown scheme"):
         outcome_distribution(s, "scheme_c", 10, 1)
+
+
+# every public entry point that takes a 2-qubit state, called on one of another size
+_TWO_QUBIT_ENTRY_POINTS = {
+    "to_bell": to_bell,
+    "nonlocal_product_measurement": lambda s: nonlocal_product_measurement(s, spin_product("z", "z"), RngStream(0)),
+    "local_product_measurement": lambda s: local_product_measurement(s, spin_product("x", "x"), RngStream(0)),
+    **{run.__name__: lambda s, run=run: run(s, RngStream(0)) for run in (run_fig1, run_scheme_a, run_scheme_b)},
+    **{f"OutcomeTree-{name}": lambda s, name=name: OutcomeTree(s, SCHEMES[name].tree) for name in SCHEMES},
+    **{f"analytic-{name}": lambda s, name=name: analytic_label_distribution(s, name) for name in SCHEMES},
+    "build_photonic_run": photonic.build_photonic_run,
+}
+
+
+@pytest.mark.parametrize("n_qubits", [1, 3])
+@pytest.mark.parametrize("entry", sorted(_TWO_QUBIT_ENTRY_POINTS))
+def test_two_qubit_entry_points_reject_other_sizes(entry, n_qubits):
+    with pytest.raises(ValueError, match="expected a 2-qubit state"):
+        _TWO_QUBIT_ENTRY_POINTS[entry](computational_state("0" * n_qubits))
 
 
 # uniform draws per trial: a fig1 readout of a Bell input is certain, while each

@@ -1,10 +1,13 @@
-"""The verify sweep's own helpers: its Haar unitaries and its tolerance test."""
+"""The verify sweep's own helpers and bounds: its Haar unitaries, its tolerance test and the limits its checks enforce."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from bellsim import verify
+from bellsim.bellcore import BellLabel, bell_state, to_bell
+from bellsim.qstate import haar_random_state
 
 
 def test_closed_form_unitary_is_haar_unitary():
@@ -45,3 +48,57 @@ def test_close_is_allclose_at_the_tolerance_edge(y):
     if y == 0.0:
         # the edge sits on equality, so a strict comparison would reject it
         assert abs(x - y) == 1e-12 + 1e-7 * abs(y)
+
+
+def test_closed_form_unitary_has_a_uniform_global_phase():
+    # det U = e^{2i phi}: its mean over Haar U(2) is 0, within 4 / sqrt(N) here
+    rng = np.random.default_rng(2026)
+    dets = np.array([np.linalg.det(verify._haar_unitary(rng)) for _ in range(10_000)])
+    assert abs(dets.mean()) <= 4 / math.sqrt(dets.size)
+
+
+@pytest.mark.parametrize("plus", [9, 10])
+def test_superposition_check_needs_ten_s_zz_plus_branches(monkeypatch, plus):
+    # its inputs as Bell states: ``plus`` of Phi+, which always reads S_zz = +1, then Psi+, which reads -1
+    phi, psi = bell_state(BellLabel.PHI_PLUS), bell_state(BellLabel.PSI_PLUS)
+    inputs = itertools.chain(itertools.repeat(phi, plus), itertools.repeat(psi))
+    monkeypatch.setattr(verify, "haar_random_state", lambda n_qubits, rng: next(inputs))
+    if plus < 10:
+        with pytest.raises(verify._Failure, match="too few S_zz"):
+            verify.check_superposition_preservation()
+    else:
+        verify.check_superposition_preservation()
+
+
+def test_superposition_check_returns_the_local_n_plus_frequency(monkeypatch):
+    # the local route's 10 000 trials as a fixed histogram: 5100 Phi+ (n = +1), 4900 Phi- (n = -1)
+    class FixedTree(verify.OutcomeTree):
+        def sample(self, trials, seed):
+            assert trials == 10_000
+            leaves = np.zeros(self.labels.shape, np.int64)
+            leaves[0, 0], leaves[0, 1] = 5100, 4900
+            assert [verify._LABELS[self.labels[0, j]] for j in (0, 1)] == [BellLabel.PHI_PLUS, BellLabel.PHI_MINUS]
+            return leaves
+
+    monkeypatch.setattr(verify, "OutcomeTree", FixedTree)
+    assert verify.check_superposition_preservation() == 0.51
+
+
+def test_born_rule_band_is_four_sigma_plus_one(monkeypatch):
+    # the sampled state of check_born_rule(seed=2031, cases=0): the first of its generator
+    p = to_bell(haar_random_state(2, np.random.default_rng(2031))).probabilities()
+    trials, label = 20_000, BellLabel.PSI_PLUS
+    expected = trials * p[label.index]
+    edge = math.floor(expected + 4 * math.sqrt(expected * (1 - p[label.index])) + 1)
+
+    def sampled(count):
+        counts = {other: round(trials * p[other.index]) for other in BellLabel}
+        counts[label] = count
+        return lambda *args: counts
+
+    monkeypatch.setattr(verify, "outcome_distribution", sampled(edge))
+    verify.check_born_rule(seed=2031, cases=0, trials=trials)
+    monkeypatch.setattr(verify, "outcome_distribution", sampled(edge + 1))
+    with pytest.raises(verify._Failure, match="4-sigma band") as failure:
+        verify.check_born_rule(seed=2031, cases=0, trials=trials)
+    assert failure.value.counterexample == {"label": label.value, "count": edge + 1, "expected": expected}
