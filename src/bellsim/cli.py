@@ -6,7 +6,7 @@ worst post-state fidelity (Bell filter only) and the ebit ledger.
 ``bellsim verify`` sweeps every invariant group and reports pass/fail.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid configuration,
-3 invariant breach or internal error during a run.
+3 invariant breach or internal error during a run, or stdout closed early.
 
 Reports are bit-identical for identical (config, seed) except for the
 ``duration_ms`` field, which is wall-clock.
@@ -14,6 +14,8 @@ Reports are bit-identical for identical (config, seed) except for the
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import re
@@ -282,10 +284,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on its first call, not at import; ``parse_args`` only reads it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify()
+    args = _parser().parse_args(argv)
+    try:
+        code = cmd_verify() if args.command == "verify" else _run(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not in the flush at interpreter exit
+    except BrokenPipeError:
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        with contextlib.suppress(OSError), open(os.devnull, "wb") as devnull:  # StringIO, capsys: no descriptor
+            os.dup2(devnull.fileno(), sys.stdout.fileno())  # the unwritten rest goes nowhere at exit
+        return 3
+    return code
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         seed = args.seed if args.seed is not None else _default_seed()
     except ValueError:

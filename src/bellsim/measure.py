@@ -348,12 +348,12 @@ class FloorRule(NamedTuple):
 # labels[i, j] is the index of the Bell label that leaf (i, j) names.
 
 # Trials per chunk of OutcomeTree.sample. A chunk costs about the same numpy
-# calls whatever its size, so what bounds it is a run's heap peak: the CLI's
-# parsing garbage, plus the second-stage weights the tree keeps, plus 32 bytes
-# per chunk-trial of work buffers. perfbench mc-throughput's largest call
-# (2000-trial runs; 2 cores, Python 3.11.7, numpy 2.4.6) peaks at 35.5 KB at
-# 64, 35.6 KB at 128, 36.7 KB at 192 and 38.9 KB at 256; 192 stays within 2 %
-# of the 36.1 KB at 64 of a tree that also kept every stage's post-states.
+# calls whatever its size, so what bounds it is a run's heap peak: the
+# second-stage weights the tree keeps, plus 32 bytes per chunk-trial of work
+# buffers, plus the report (the CLI's parser is built once per process). The
+# largest call of perfbench mc-throughput (2000-trial runs; 2 cores, Python
+# 3.11.7, numpy 2.4.6) peaks at 17.6 KB at 64, 128 and 192 alike and at
+# 19.7 KB at 256: 192 is the largest of these that adds nothing to the peak.
 TREE_CHUNK = 192
 # Runs of fewer trials are walked trial by trial (OutcomeTree.walk): a walked
 # trial costs 6-12 us, a run's first chunk 60-200 us whatever its size. Summed

@@ -137,18 +137,20 @@ def check_bell_roundtrip():
 
 
 def check_spin_commutators():
-    """Same-axis spin products commute, also by the kron-built matrix oracle."""
-    for i, j in itertools.product(AXES, repeat=2):
-        got = commutator(spin_product(i, i).matrix, spin_product(j, j).matrix)
-        delta = float(np.abs(got).max())
-        _check(delta <= 1e-15, f"[S_{i}{i}, S_{j}{j}] != 0", pair=(i, j), deviation=delta)
-        a = np.kron(PAULIS[i], PAULIS[i])
-        b = np.kron(PAULIS[j], PAULIS[j])
-        oracle = a @ b - b @ a
-        oracle_delta = float(np.abs(oracle).max())
-        _check(oracle_delta <= 1e-15, "matrix oracle commutator != 0", pair=(i, j), deviation=oracle_delta)
-        oracle_delta = float(np.abs(got - oracle).max())
-        _check(oracle_delta <= 1e-15, "commutator disagrees with matrix oracle", pair=(i, j))
+    """Same-axis spin products commute, and all 81 commutators of the nine match the kron-built matrix oracle."""
+    products = [spin_product(i, j) for i, j in itertools.product(AXES, repeat=2)]
+    krons = np.array([np.kron(PAULIS[sp.i], PAULIS[sp.j]) for sp in products])
+    for p, kron in zip(products, krons):  # one row of 9 pairs at a time, so the check holds 9 matrices, not 81
+        got = [commutator(p.matrix, q.matrix) for q in products]
+        oracles = kron @ krons - krons @ kron
+        deltas = np.abs(got - oracles).max(axis=(1, 2)).tolist()
+        for q, got_q, oracle, mismatch in zip(products, got, oracles, deltas):
+            if p.i == p.j and q.i == q.j:
+                delta = float(np.abs(got_q).max())
+                _check(delta <= 1e-15, f"[{p.name}, {q.name}] != 0", pair=(p.i, q.i), deviation=delta)
+                oracle_delta = float(np.abs(oracle).max())
+                _check(oracle_delta <= 1e-15, "matrix oracle commutator != 0", pair=(p.i, q.i), deviation=oracle_delta)
+            _check(mismatch <= 1e-15, "commutator disagrees with matrix oracle", pair=(p.name, q.name))
 
 
 def check_common_eigenbasis():

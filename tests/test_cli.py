@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
 import types
 
 import pytest
@@ -586,6 +589,47 @@ def test_trace_writer_resumes_short_writes():
     assert fh.data == b"0123456789abcdefghijk"
 
 
+_CLOSED_STDOUT_ERROR = "error: stdout was closed before the output was written"
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", "10"),
+    ("run", "--scheme", "scheme_b", "--state", "random", "--trials", "10", "--output", "csv"),
+    ("verify",),
+])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_three_with_one_error_line(argv, unbuffered):
+    """A reader gone before the output: exit 3 and one error line, no traceback, also from the flush at exit."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(cli.__file__)), env.get("PYTHONPATH", "")])
+    if unbuffered:  # print meets the closed pipe; buffered, only the final flush does
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "bellsim.cli", *argv]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()  # before the child has imported numpy, so before it writes
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 3
+    assert err.splitlines() == [_CLOSED_STDOUT_ERROR]
+
+
+def test_closed_stdout_without_a_descriptor_exits_three_and_redirects_nothing(capsys):
+    """A stdout with no OS descriptor (StringIO, capsys) is left as it is: no descriptor is redirected."""
+    class ClosedReader(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def descriptor_one():
+        status = os.fstat(1)
+        return status.st_dev, status.st_ino
+
+    before = descriptor_one()
+    with contextlib.redirect_stdout(ClosedReader()):
+        code = main(["run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", "3"])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [_CLOSED_STDOUT_ERROR]
+    assert descriptor_one() == before
+
+
 def test_chi_square_zero_probability_branch(capsys):
     # deterministic input: all mass on one label, chi-square ~ 0
     code, out, _ = run_cli(
@@ -677,3 +721,66 @@ def test_verify_command_reports_failure(capsys, monkeypatch):
     # raised directly (as in the acceptance criteria), the message carries the counterexample
     with pytest.raises(Exception, match='deliberately broken {"case": 3}'):
         broken()
+
+
+@pytest.fixture
+def fresh_parser():
+    """``main``'s parser built anew for the test, and dropped after it."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch, fresh_parser):
+    """A good run, a usage error and --help share the one parser of the first call."""
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(None) or build())
+    assert run_cli(capsys, "run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", "3")[0] == 0
+    with pytest.raises(SystemExit) as usage:
+        main(["run", "--scheme", "bogus", "--state", "PhiPlus"])
+    assert usage.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as shown:
+        main(["run", "--help"])
+    assert shown.value.code == 0 and "--emit-trace" in capsys.readouterr().out
+    assert len(builds) == 1
+
+
+_PLAIN_RUN = ("run", "--scheme", "scheme_b", "--state", "random", "--trials", "20")
+
+
+@pytest.mark.parametrize("between", [
+    None,
+    ("run", "--scheme", "fig1", "--state", "random", "--seed", "7", "--output", "xml"),  # a usage error
+    ("run", "--seed", "9", "--output", "csv", "--help"),
+])
+def test_consecutive_calls_share_no_arguments(capsys, monkeypatch, tmp_path, fresh_parser, between):
+    """Options of an earlier call, also of a usage error or --help, do not reach the next call's report."""
+    monkeypatch.delenv("BELLSIM_SEED", raising=False)
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 1.0))  # duration_ms 0.0
+    trace = str(tmp_path / "t.jsonl")
+    assert run_cli(capsys, *_PLAIN_RUN, "--seed", "5", "--output", "csv", "--emit-trace", trace)[0] == 0
+    if between is not None:
+        with pytest.raises(SystemExit):
+            main(list(between))
+        capsys.readouterr()
+    code, reused, _ = run_cli(capsys, *_PLAIN_RUN)
+    assert code == 0
+    config = report_of(reused)["config"]
+    assert (config["seed"], config["output"], config["emit_trace"]) == (0, "json", None)
+    cli._parser.cache_clear()
+    assert run_cli(capsys, *_PLAIN_RUN)[1] == reused  # the same argv through a parser built for it
+
+
+def test_in_process_run_heap_peak_is_the_runs_own(capsys, fresh_parser):
+    """After a warm-up call, a 2000-trial run holds no parser and none of its garbage."""
+    argv = ["run", "--scheme", "scheme_b", "--state", "random", "--trials", "2000"]
+    assert main(argv) == 0  # builds the parser and the run path's lazy state
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 26_000

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim.bellcore import BellCoefficients, BellLabel, bell_state, from_bell, outcome_pair, spin_product, to_bell
-from bellsim import cli, photonic, protocols
+from bellsim import bellcore, cli, photonic, protocols
 from bellsim.cli import resolve_state
 from bellsim.measure import (
     ALICE,
@@ -46,7 +46,7 @@ from bellsim.protocols import (
 from bellsim.qstate import CNOT, HADAMARD, ID2, computational_state, fidelity, haar_random_state, states_equal
 from state_strategies import states
 
-LABELS = list(BellLabel)
+LABELS = bellcore._LABELS
 FIG1_OUTPUT_BITS = {
     BellLabel.PHI_PLUS: "00",
     BellLabel.PHI_MINUS: "10",

@@ -102,3 +102,12 @@ def test_born_rule_band_is_four_sigma_plus_one(monkeypatch):
     with pytest.raises(verify._Failure, match="4-sigma band") as failure:
         verify.check_born_rule(seed=2031, cases=0, trials=trials)
     assert failure.value.counterexample == {"label": label.value, "count": edge + 1, "expected": expected}
+
+
+def test_spin_commutator_check_compares_the_nonzero_commutators(monkeypatch):
+    # [S_xx, S_xy] = 2 S_xx S_xy is not zero, so a commutator with the wrong sign disagrees with the oracle there
+    verify.check_spin_commutators()
+    monkeypatch.setattr(verify, "commutator", lambda a, b: b @ a - a @ b)
+    with pytest.raises(verify._Failure, match="disagrees with matrix oracle") as failure:
+        verify.check_spin_commutators()
+    assert failure.value.counterexample == {"pair": ("S_xx", "S_xy")}
