@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import re
@@ -290,9 +291,20 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _parse_args(argv) -> argparse.Namespace:
+    """``parse_args``, whose --help is written here: argparse drops a write that meets a closed stdout."""
     try:
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            return _parser().parse_args(argv)
+    except SystemExit:
+        sys.stdout.write(printed.getvalue())
+        sys.stdout.flush()
+        raise
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parse_args(argv)
         code = cmd_verify() if args.command == "verify" else _run(args)
         sys.stdout.flush()  # a reader that has gone shows here, not in the flush at interpreter exit
     except BrokenPipeError:

@@ -229,9 +229,9 @@ def _render_local(stage: str, sp: SpinProduct, record: MeasurementRecord) -> lis
 _RENDER_STAGE = {NONLOCAL: _render_nonlocal, LOCAL: _render_local}
 
 
-def _trace(scheme: str, leaf) -> tuple[TraceEvent, ...]:
-    """The trace that ``SCHEMES[scheme].stages`` render for ``leaf``, stage by stage, as one tuple."""
-    return tuple(event for stage in SCHEMES[scheme].stages(leaf) for event in stage)
+def _trace(stages: Callable, leaf) -> tuple[TraceEvent, ...]:
+    """The trace that a row's ``stages`` render for ``leaf``, stage by stage, as one tuple."""
+    return tuple(event for stage in stages(leaf) for event in stage)
 
 
 # A scheme's stages(leaf) are the trace of the run that reached ``leaf``, (i, j)
@@ -254,18 +254,6 @@ def _fig1_stages(leaf):
     ]
 
 
-def _spin_product_stages(first: str, second: str):
-    """Ownership of the system, then S_zz's readout index i by the ``first`` strategy and S_xx's j by the ``second``."""
-
-    def stages(leaf):
-        i, j = leaf
-        yield _own("setup", _SYSTEM_PARTIES)
-        yield _RENDER_STAGE[first]("szz", _SZZ, _branch_record(_SZZ, first, i))
-        yield _RENDER_STAGE[second]("sxx", _SXX, _branch_record(_SXX, second, j))
-
-    return stages
-
-
 # --- Runners: the physics of one run, then its trace if asked for ----------------
 
 
@@ -282,26 +270,48 @@ def run_fig1(s: StateVector, rng: RngStream, record_trace: bool = True) -> Proto
     z_a, state = measure_local_pauli(state, _SYSTEM_A, "z", rng)
     z_b, state = measure_local_pauli(state, _SYSTEM_B, "z", rng)
     outcomes = (z_b, z_a)  # the wire carrying the Hadamard resolves +/-, the other Phi/Psi
-    trace = _trace("fig1", ((1 - z_a) >> 1, (1 - z_b) >> 1)) if record_trace else ()  # the readout bits
+    trace = _trace(_fig1_stages, ((1 - z_a) >> 1, (1 - z_b) >> 1)) if record_trace else ()  # the readout bits
     return ProtocolResult(outcomes, state, trace, ledger)
 
 
-def _run_spin_products(s: StateVector, rng: RngStream, scheme: str, second: Callable, record_trace: bool):
-    """Nonlocal S_zz, then S_xx by the ``second`` kernel, as :func:`_spin_product_tree`.
+def _kernel(strategy: str) -> Callable:
+    """The kernel of ``strategy``, read from this module's names at each call, so a wrapper set there sees it."""
+    return nonlocal_product_measurement if strategy == NONLOCAL else local_product_measurement
 
-    The body of schemes (a) and (b); only a Bell filter reports its post-state.
-    The S_zz kernel checks that ``s`` has two qubits.
+
+def _spin_product_scheme(first: str, second: str, analytic: Callable | None = None) -> Scheme:
+    """The row of schemes (a) and (b): S_zz by the ``first`` strategy, then S_xx by the ``second``.
+
+    The pair gives the stages, the tree and the runner; the ebits are the two strategies' sum, and
+    the row is a Bell filter when both stages are nonlocal. Only a Bell filter reports its post-state.
     """
-    row = SCHEMES[scheme]
-    ledger = ResourceLedger(row.ebits_per_run)
-    szz, state = nonlocal_product_measurement(s, _SZZ, rng)
-    sxx, state = second(state, _SXX, rng)
-    for record in (szz, sxx):
-        ledger.consume(record.ebits_consumed)
-    (z_a, z_b), (x_a, x_b) = szz.local_outcomes, sxx.local_outcomes  # a stage's branch: 2 * bit(z_A) + bit(z_B)
-    trace = _trace(scheme, ((1 - z_a) + ((1 - z_b) >> 1), (1 - x_a) + ((1 - x_b) >> 1))) if record_trace else ()
-    outcomes = (szz.product_outcome, sxx.product_outcome)
-    return ProtocolResult(outcomes, state if row.filters else None, trace, ledger)
+    ebits = STRATEGIES[first].ebits + STRATEGIES[second].ebits
+    filters = first == second == NONLOCAL
+
+    def stages(leaf):
+        """Ownership of the system, then S_zz's readout index i and S_xx's j."""
+        i, j = leaf
+        yield _own("setup", _SYSTEM_PARTIES)
+        yield _RENDER_STAGE[first]("szz", _SZZ, _branch_record(_SZZ, first, i))
+        yield _RENDER_STAGE[second]("sxx", _SXX, _branch_record(_SXX, second, j))
+
+    def tree(s: StateVector):
+        weights, post_of = STRATEGIES[first].branches(s.amplitudes, _SZZ)
+        return weights, lambda i: STRATEGIES[second].branches(post_of(i), _SXX), _PRODUCT_LABELS
+
+    def runner(s: StateVector, rng: RngStream, record_trace: bool = True) -> ProtocolResult:
+        """One run on the kernels; the S_zz kernel checks that ``s`` has two qubits."""
+        ledger = ResourceLedger(ebits)
+        szz, state = _kernel(first)(s, _SZZ, rng)
+        sxx, state = _kernel(second)(state, _SXX, rng)
+        for record in (szz, sxx):
+            ledger.consume(record.ebits_consumed)
+        (z_a, z_b), (x_a, x_b) = szz.local_outcomes, sxx.local_outcomes  # a stage's branch: 2 * bit(z_A) + bit(z_B)
+        trace = _trace(stages, ((1 - z_a) + ((1 - z_b) >> 1), (1 - x_a) + ((1 - x_b) >> 1))) if record_trace else ()
+        outcomes = (szz.product_outcome, sxx.product_outcome)
+        return ProtocolResult(outcomes, state if filters else None, trace, ledger)
+
+    return Scheme(ebits, runner, stages, tree, analytic, filters)
 
 
 def run_scheme_a(s: StateVector, rng: RngStream, record_trace: bool = True) -> ProtocolResult:
@@ -310,7 +320,7 @@ def run_scheme_a(s: StateVector, rng: RngStream, record_trace: bool = True) -> P
     LOCC throughout. The final local measurement collapses the system to an
     x product state, so no post-state is reported.
     """
-    return _run_spin_products(s, rng, "scheme_a", local_product_measurement, record_trace)
+    return SCHEMES["scheme_a"].runner(s, rng, record_trace)
 
 
 def run_scheme_b(s: StateVector, rng: RngStream, record_trace: bool = True) -> ProtocolResult:
@@ -319,7 +329,7 @@ def run_scheme_b(s: StateVector, rng: RngStream, record_trace: bool = True) -> P
     LOCC throughout, and the post-state is exactly the Bell state named by
     the outcome pair (up to global phase).
     """
-    return _run_spin_products(s, rng, "scheme_b", nonlocal_product_measurement, record_trace)
+    return SCHEMES["scheme_b"].runner(s, rng, record_trace)
 
 
 # --- LOCC audit ---------------------------------------------------------------
@@ -404,16 +414,6 @@ def _fig1_tree(s: StateVector):
     """fig1's two sigma_z readouts, after the circuit."""
     weights, post_of = _z_branches(_fig1_circuit(s.amplitudes), _SYSTEM_A)
     return weights, lambda bit: _z_branches(post_of(bit), _SYSTEM_B), _FIG1_LABELS
-
-
-def _spin_product_tree(first: str, second: str):
-    """S_zz by the ``first`` strategy, then S_xx by the ``second``; schemes (a) and (b) start nonlocal."""
-
-    def tree(s: StateVector):
-        weights, post_of = STRATEGIES[first].branches(s.amplitudes, _SZZ)
-        return weights, lambda i: STRATEGIES[second].branches(post_of(i), _SXX), _PRODUCT_LABELS
-
-    return tree
 
 
 def _photonic_tree(s: StateVector):
@@ -501,14 +501,8 @@ class Scheme(NamedTuple):
 # The photonic run spends its path-entangled pair: the same one-ebit meter.
 SCHEMES = {
     "fig1": Scheme(0, run_fig1, _fig1_stages, _fig1_tree, _fig1_analytic, False),
-    "scheme_a": Scheme(
-        1, run_scheme_a, _spin_product_stages(NONLOCAL, LOCAL), _spin_product_tree(NONLOCAL, LOCAL),
-        _scheme_a_analytic, False,
-    ),
-    "scheme_b": Scheme(
-        2, run_scheme_b, _spin_product_stages(NONLOCAL, NONLOCAL), _spin_product_tree(NONLOCAL, NONLOCAL),
-        _scheme_b_analytic, True,
-    ),
+    "scheme_a": _spin_product_scheme(NONLOCAL, LOCAL, _scheme_a_analytic),
+    "scheme_b": _spin_product_scheme(NONLOCAL, NONLOCAL, _scheme_b_analytic),
     "photonic": Scheme(1, None, None, _photonic_tree, photonic.label_distribution, False),
 }
 

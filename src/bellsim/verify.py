@@ -41,7 +41,7 @@ from .measure import (
 from .photonic import DetectorIndex, REGISTER_A, REGISTER_B, build_photonic_run, label_distribution, photonic_label
 from .protocols import (
     SCHEMES,
-    _spin_product_tree,
+    _spin_product_scheme,
     analytic_label_distribution,
     locc_audit,
     outcome_distribution,
@@ -244,7 +244,7 @@ def check_superposition_preservation() -> float:
     for label, count in outcome_distribution(phi, "scheme_a", 10_000, 406).items():
         _check(not count or outcome_pair(label)[1] == +1, "nonlocal S_zz failed to preserve n",
                label=label.value, count=count)
-    tree = OutcomeTree(phi, _spin_product_tree(LOCAL, LOCAL))
+    tree = OutcomeTree(phi, _spin_product_scheme(LOCAL, LOCAL).tree)
     counts = tree.label_counts(tree.sample(10_000, 407))
     frequency = sum(count for label, count in counts.items() if outcome_pair(label)[1] == +1) / 10_000
     _check(abs(frequency - 0.5) < 0.02, "local strategy should randomize the second outcome", frequency=frequency)

@@ -293,7 +293,7 @@ def test_json_report_validates_against_schema(capsys, scheme):
     report = report_of(out)
     jsonschema.validate(report, REPORT_SCHEMA)
     # only a Bell filter's post-state is a Bell state whose fidelity means anything
-    assert ("fidelity" in report) == SCHEMES[scheme].filters
+    assert ("fidelity" in report) == (scheme == "scheme_b")
 
 
 def test_csv_output_schema(capsys):
@@ -596,6 +596,8 @@ _CLOSED_STDOUT_ERROR = "error: stdout was closed before the output was written"
     ("run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", "10"),
     ("run", "--scheme", "scheme_b", "--state", "random", "--trials", "10", "--output", "csv"),
     ("verify",),
+    ("--help",),
+    ("run", "--help"),
 ])
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_closed_stdout_exits_three_with_one_error_line(argv, unbuffered):

@@ -43,7 +43,7 @@ from bellsim.measure import (
 )
 from bellsim.protocols import (
     SCHEMES,
-    _spin_product_tree,
+    _spin_product_scheme,
     iterate_runs,
     outcome_distribution,
 )
@@ -436,7 +436,7 @@ def test_walked_pick_replays_choose_outcome(weights, row):
 @settings(max_examples=100, deadline=None)
 @example(s=bell_state(BellLabel.PHI_PLUS), trials=TREE_CHUNK + 1, seed=407)
 def test_local_local_tree_matches_two_local_measurements(s, trials, seed):
-    """The (LOCAL, LOCAL) builder, which no runner replays: local S_zz, then local S_xx, per trial."""
+    """The (LOCAL, LOCAL) row's tree, which no scheme samples: local S_zz, then local S_xx, per trial."""
     szz, sxx = spin_product("z", "z"), spin_product("x", "x")
     counts = {label: 0 for label in BellLabel}
     for t in range(trials):
@@ -444,7 +444,7 @@ def test_local_local_tree_matches_two_local_measurements(s, trials, seed):
         first, mid = local_product_measurement(s, szz, rng)
         second, _ = local_product_measurement(mid, sxx, rng)
         counts[classify(first.product_outcome, second.product_outcome)] += 1
-    tree = OutcomeTree(s, _spin_product_tree(LOCAL, LOCAL))
+    tree = OutcomeTree(s, _spin_product_scheme(LOCAL, LOCAL).tree)
     assert tree.label_counts(tree.sample(trials, seed)) == counts
 
 

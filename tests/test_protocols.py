@@ -233,10 +233,11 @@ def test_nonlocal_traces_render_the_wire_plan_the_kernels_run():
     assert _coupled_injection(NONLOCAL_WIRES).tobytes() == _INJECT_PHI_PLUS.tobytes()
     for scheme, stages in (("scheme_a", ("szz",)), ("scheme_b", ("szz", "sxx"))):
         for leaf in np.ndindex(4, 4):
-            trace = protocols._trace(scheme, leaf)
+            trace = protocols._trace(SCHEMES[scheme].stages, leaf)
             assert all(_plan_events(trace, stage) == list(NONLOCAL_WIRES) for stage in stages)
     # fig1's circuit events are the gate rows its runners apply, and fig1_unitary() is their product
-    assert [event[:4] for event in protocols._trace("fig1", (0, 0)) if event.step == "circuit"] == list(protocols._FIG1_GATES)
+    circuit = [event[:4] for event in protocols._trace(SCHEMES["fig1"].stages, (0, 0)) if event.step == "circuit"]
+    assert circuit == list(protocols._FIG1_GATES)
     np.testing.assert_array_equal(fig1_unitary(), protocols._FIG1_MATRICES[1] @ protocols._FIG1_MATRICES[0])
 
 
@@ -380,7 +381,7 @@ def _reference_jsonl(trace):
 def _leaf_traces(scheme):
     """The trace of every leaf of the scheme's outcome tree."""
     shape = OutcomeTree(bell_state(BellLabel.PHI_PLUS), SCHEMES[scheme].tree).labels.shape
-    return [protocols._trace(scheme, leaf) for leaf in np.ndindex(shape)]
+    return [protocols._trace(SCHEMES[scheme].stages, leaf) for leaf in np.ndindex(shape)]
 
 
 @pytest.mark.parametrize("scheme", sorted(TRACE_DIGESTS))
