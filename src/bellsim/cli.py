@@ -115,18 +115,40 @@ def _chi_square(counts: dict, probs: np.ndarray, trials: int) -> float | None:
     return stat
 
 
+# (a row's stages, leaf) -> each stage's encoded lines: at most 36 entries, 90 416 bytes per process
+_TRACE_BYTES: dict = {}
+
+
+def _trace_lines(stages, leaf):
+    """Each stage's encoded lines of ``leaf``'s trace: the kept ones, or rendered and encoded one stage at a time.
+
+    Rendered lines are kept once the caller has taken the last stage, so a trace failing part-way keeps nothing.
+    """
+    key = (stages, leaf)
+    cached = _TRACE_BYTES.get(key)
+    if cached is not None:
+        yield from cached
+        return
+    encoded = []
+    for stage in stages(leaf):
+        encoded.append((trace_to_jsonl(stage) + "\n").encode())
+        yield encoded[-1]
+    _TRACE_BYTES[key] = tuple(encoded)
+
+
 def _run_trials(state, config: RunConfig, trace=None):
     """Sample all trials on one tree; for a Bell filter, the worst filter fidelity over the leaves reached.
 
-    With ``trace``, an unbuffered binary file, also write trial 0's trace into it, rendered from
-    its leaf on that tree and written stage by stage, so one stage's events and lines are held at a time.
+    With ``trace``, an unbuffered binary file, also write trial 0's trace into it: the bytes this process
+    keeps for that leaf of the scheme's row, or, for a leaf not yet written, rendered from the leaf and
+    written stage by stage, so one stage's events are held at a time.
     """
     scheme = get_scheme(config.scheme)
     tree = OutcomeTree(state, scheme.tree)
     leaves = tree.sample(config.trials, config.seed)
     if trace is not None:
-        for stage in scheme.stages(tree.walk(RngStream(config.seed).substream(0))):
-            _write_all(trace, (trace_to_jsonl(stage) + "\n").encode())
+        for lines in _trace_lines(scheme.stages, tree.walk(RngStream(config.seed).substream(0))):
+            _write_all(trace, lines)
     if not scheme.filters:
         return tree.label_counts(leaves), None
     worst = min(fidelity(post, bell_state(label)) for _, label, post in tree.reached(leaves))

@@ -10,14 +10,18 @@ import sys
 import tracemalloc
 import types
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bellsim.cli as cli
+import bellsim.protocols as protocols
 import bellsim.verify as verify
+from bellsim.bellcore import BellLabel, bell_state
 from bellsim.cli import main, resolve_state
-from bellsim.protocols import SCHEMES
+from bellsim.measure import OutcomeTree
+from bellsim.protocols import SCHEMES, trace_to_jsonl
 from bellsim.qstate import states_equal
 
 
@@ -535,8 +539,16 @@ def test_run_failing_after_the_trace_file_is_opened_exits_three_with_it_empty(ca
     assert path.read_bytes() == b""
 
 
+@pytest.fixture
+def fresh_traces():
+    """The encoded traces ``_run_trials`` keeps, rendered anew for the test, and dropped after it."""
+    cli._TRACE_BYTES.clear()
+    yield
+    cli._TRACE_BYTES.clear()
+
+
 @pytest.mark.parametrize("where", ["render", "write", "device"])
-def test_trace_failure_exits_three(capsys, monkeypatch, tmp_path, where):
+def test_trace_failure_exits_three(capsys, monkeypatch, tmp_path, fresh_traces, where):
     """A trace that cannot be rendered, encoded or written fails the run: exit 3, no report."""
     path, error = str(tmp_path / "t.jsonl"), "norm drifted"
     if where == "render":
@@ -554,7 +566,9 @@ def test_trace_failure_exits_three(capsys, monkeypatch, tmp_path, where):
     assert out == "" and error in err
 
 
-def test_trace_failing_after_its_first_stage_exits_three_with_that_stage_written(capsys, monkeypatch, tmp_path):
+def test_trace_failing_after_its_first_stage_exits_three_with_that_stage_written(
+    capsys, monkeypatch, tmp_path, fresh_traces
+):
     """The trace is written stage by stage: a later stage that fails to render leaves the earlier ones in the file."""
     path = tmp_path / "t.jsonl"
     argv = ["run", "--scheme", "scheme_b", "--state", "random", "--trials", "3", "--emit-trace", str(path)]
@@ -571,6 +585,77 @@ def test_trace_failing_after_its_first_stage_exits_three_with_that_stage_written
     assert code == 3
     assert out == "" and "norm drifted" in err
     assert path.read_text() == "".join(whole[:2])  # truncated, then the setup stage's two "own" events
+
+
+def _failing_on_second_call(real):
+    """``real``, but its second call raises."""
+    calls = []
+
+    def once_real_then_failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            _explode()
+        return real(*args)
+
+    return once_real_then_failing
+
+
+@pytest.mark.parametrize("where", ["render", "encode", "write"])
+def test_a_trace_failing_after_its_first_stage_is_not_kept(capsys, monkeypatch, tmp_path, fresh_traces, where):
+    """The real row's trace failing part-way keeps nothing: the next call renders and writes it whole."""
+    path = tmp_path / "t.jsonl"
+    argv = ["run", "--scheme", "scheme_b", "--state", "random", "--trials", "3", "--emit-trace", str(path)]
+    assert run_cli(capsys, *argv)[0] == 0
+    whole = path.read_bytes()
+    cli._TRACE_BYTES.clear()
+    if where == "render":  # S_zz's branch record, once the setup stage has rendered
+        monkeypatch.setattr(protocols, "_branch_record", _explode)
+    else:
+        name = "trace_to_jsonl" if where == "encode" else "_write_all"
+        monkeypatch.setattr(cli, name, _failing_on_second_call(getattr(cli, name)))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == "" and "norm drifted" in err
+    assert path.read_bytes() == b"".join(whole.splitlines(keepends=True)[:2])  # the setup stage
+    monkeypatch.undo()
+    assert run_cli(capsys, *argv)[0] == 0
+    assert path.read_bytes() == whole
+
+
+def _protocol_leaves():
+    """(row's stages, leaf) of every leaf of every protocol scheme: 4 of fig1, 16 of scheme (a), 16 of scheme (b)."""
+    for row in SCHEMES.values():
+        if row.stages is not None:
+            shape = OutcomeTree(bell_state(BellLabel.PHI_PLUS), row.tree).labels.shape
+            yield from ((row.stages, leaf) for leaf in np.ndindex(shape))
+
+
+def test_kept_trace_bytes_are_a_fresh_render_of_every_leaf(tmp_path, fresh_traces):
+    """Every leaf written once keeps its stages' encoded lines: 36 entries, 90 416 bytes in all."""
+    pairs = list(_protocol_leaves())
+    assert len(pairs) == 36
+    for k, (stages, leaf) in enumerate(pairs):
+        fresh = tuple((trace_to_jsonl(stage) + "\n").encode() for stage in stages(leaf))
+        path = tmp_path / f"{k}.jsonl"
+        for _ in range(2):  # cold, then warm
+            with open(path, "wb", buffering=0) as trace:
+                for lines in cli._trace_lines(stages, leaf):
+                    cli._write_all(trace, lines)
+            assert path.read_bytes() == b"".join(fresh)
+        assert cli._TRACE_BYTES[stages, leaf] == fresh
+    assert len(cli._TRACE_BYTES) == 36
+    assert sum(len(lines) for kept in cli._TRACE_BYTES.values() for lines in kept) == 90_416
+
+
+def test_warm_trace_is_the_cold_one(capsys, monkeypatch, tmp_path, fresh_traces):
+    """A call whose leaf was written before writes the kept bytes, without encoding: the cold call's file."""
+    cold, warm = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
+    argv = ["run", "--scheme", "scheme_b", "--state", "random", "--trials", "3", "--seed", "11"]
+    assert run_cli(capsys, *argv, "--emit-trace", str(cold))[0] == 0
+    monkeypatch.setattr(cli, "trace_to_jsonl", _explode)
+    assert run_cli(capsys, *argv, "--emit-trace", str(warm))[0] == 0
+    assert warm.read_bytes() == cold.read_bytes()
+    assert len(cli._TRACE_BYTES) == 1
 
 
 def test_trace_writer_resumes_short_writes():
@@ -786,3 +871,4 @@ def test_in_process_run_heap_peak_is_the_runs_own(capsys, fresh_parser):
     finally:
         tracemalloc.stop()
     assert peak < 26_000
+

@@ -333,10 +333,12 @@ def test_sampling_heap_per_chunk_trial(scheme):
 
 
 def test_traced_run_heap_peak(tmp_path):
-    """A traced 7-trial scheme_b run holds one stage of its 34-event trace at a time, not the whole trace and text.
+    """A traced 7-trial scheme_b run holds one stage of its 34-event trace at a time, not the whole trace.
 
-    The lower of two peaks reads 11.8 KB into a file the caller opened (2 cores, Python 3.11.7, numpy 2.4.6);
-    the whole trace held read 23.1 KB.
+    A leaf rendered also holds the encoded lines of the stages before the one rendering, since it keeps them once
+    the last is written; a leaf written before holds only its kept lines. The lower of two peaks into a file the
+    caller opened (2 cores, Python 3.11.7, numpy 2.4.6): 13.5 KB rendered (11.8 KB before lines were kept, 16.2 KB
+    with the whole trace's events held first) and 6.9 KB written from the kept lines.
     """
     s = haar_random_state(2, np.random.default_rng(11))
     path = tmp_path / "t.jsonl"
@@ -344,8 +346,16 @@ def test_traced_run_heap_peak(tmp_path):
     with open(path, "wb", buffering=0) as trace:
         cli._run_trials(s, config, trace)  # numpy's and the file system's first-call caches are not the run's
         gc.collect()
+
+        def rendered():
+            cli._TRACE_BYTES.clear()
+            cli._run_trials(s, config, trace)
+
         # the lower of two: the first traced call after the warm-up reads about 3 KB high
-        assert min(_heap_peak(lambda: cli._run_trials(s, config, trace)) for _ in range(2)) <= 14_000
+        cold = min(_heap_peak(rendered) for _ in range(2))
+        warm = min(_heap_peak(lambda: cli._run_trials(s, config, trace)) for _ in range(2))
+    assert cold <= 14_000
+    assert warm <= 8_500 and warm <= cold
 
 
 def _reference_choose_outcome(weights, rng):
