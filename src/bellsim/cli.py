@@ -115,33 +115,20 @@ def _chi_square(counts: dict, probs: np.ndarray, trials: int) -> float | None:
     return stat
 
 
-# (a row's stages, leaf) -> each stage's encoded lines: at most 36 entries, 90 416 bytes per process
-_TRACE_BYTES: dict = {}
+@functools.cache
+def _trace_lines(stages, leaf) -> tuple[bytes, ...]:
+    """Each stage's encoded lines of ``leaf``'s trace, rendered a stage at a time; kept per process (36 leaves, 90 416 B).
 
-
-def _trace_lines(stages, leaf):
-    """Each stage's encoded lines of ``leaf``'s trace: the kept ones, or rendered and encoded one stage at a time.
-
-    Rendered lines are kept once the caller has taken the last stage, so a trace failing part-way keeps nothing.
+    A render or encode that raises keeps nothing. A list gathers the lines: a generator's frame would sit on the heap.
     """
-    key = (stages, leaf)
-    cached = _TRACE_BYTES.get(key)
-    if cached is not None:
-        yield from cached
-        return
-    encoded = []
-    for stage in stages(leaf):
-        encoded.append((trace_to_jsonl(stage) + "\n").encode())
-        yield encoded[-1]
-    _TRACE_BYTES[key] = tuple(encoded)
+    return tuple([(trace_to_jsonl(stage) + "\n").encode() for stage in stages(leaf)])
 
 
 def _run_trials(state, config: RunConfig, trace=None):
     """Sample all trials on one tree; for a Bell filter, the worst filter fidelity over the leaves reached.
 
-    With ``trace``, an unbuffered binary file, also write trial 0's trace into it: the bytes this process
-    keeps for that leaf of the scheme's row, or, for a leaf not yet written, rendered from the leaf and
-    written stage by stage, so one stage's events are held at a time.
+    With ``trace``, an unbuffered binary file, also write trial 0's trace into it: the lines this process
+    keeps for that leaf of the scheme's row, rendered on the leaf's first trace.
     """
     scheme = get_scheme(config.scheme)
     tree = OutcomeTree(state, scheme.tree)

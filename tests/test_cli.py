@@ -542,9 +542,9 @@ def test_run_failing_after_the_trace_file_is_opened_exits_three_with_it_empty(ca
 @pytest.fixture
 def fresh_traces():
     """The encoded traces ``_run_trials`` keeps, rendered anew for the test, and dropped after it."""
-    cli._TRACE_BYTES.clear()
+    cli._trace_lines.cache_clear()
     yield
-    cli._TRACE_BYTES.clear()
+    cli._trace_lines.cache_clear()
 
 
 @pytest.mark.parametrize("where", ["render", "write", "device"])
@@ -566,10 +566,10 @@ def test_trace_failure_exits_three(capsys, monkeypatch, tmp_path, fresh_traces, 
     assert out == "" and error in err
 
 
-def test_trace_failing_after_its_first_stage_exits_three_with_that_stage_written(
+def test_trace_failing_after_its_first_stage_exits_three_with_the_file_empty(
     capsys, monkeypatch, tmp_path, fresh_traces
 ):
-    """The trace is written stage by stage: a later stage that fails to render leaves the earlier ones in the file."""
+    """Every stage is encoded before the first is written: a later stage that fails to render leaves the file empty."""
     path = tmp_path / "t.jsonl"
     argv = ["run", "--scheme", "scheme_b", "--state", "random", "--trials", "3", "--emit-trace", str(path)]
     assert run_cli(capsys, *argv)[0] == 0
@@ -584,7 +584,10 @@ def test_trace_failing_after_its_first_stage_exits_three_with_that_stage_written
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == "" and "norm drifted" in err
-    assert path.read_text() == "".join(whole[:2])  # truncated, then the setup stage's two "own" events
+    assert path.read_text() == ""  # truncated, and nothing written
+    monkeypatch.undo()
+    assert run_cli(capsys, *argv)[0] == 0
+    assert path.read_text() == "".join(whole)
 
 
 def _failing_on_second_call(real):
@@ -602,12 +605,16 @@ def _failing_on_second_call(real):
 
 @pytest.mark.parametrize("where", ["render", "encode", "write"])
 def test_a_trace_failing_after_its_first_stage_is_not_kept(capsys, monkeypatch, tmp_path, fresh_traces, where):
-    """The real row's trace failing part-way keeps nothing: the next call renders and writes it whole."""
+    """The real row's trace failing part-way: the next call writes it whole.
+
+    A render or encode that fails keeps nothing and writes nothing; a write that fails has written the setup stage
+    and keeps the encoded lines.
+    """
     path = tmp_path / "t.jsonl"
     argv = ["run", "--scheme", "scheme_b", "--state", "random", "--trials", "3", "--emit-trace", str(path)]
     assert run_cli(capsys, *argv)[0] == 0
     whole = path.read_bytes()
-    cli._TRACE_BYTES.clear()
+    cli._trace_lines.cache_clear()
     if where == "render":  # S_zz's branch record, once the setup stage has rendered
         monkeypatch.setattr(protocols, "_branch_record", _explode)
     else:
@@ -616,7 +623,9 @@ def test_a_trace_failing_after_its_first_stage_is_not_kept(capsys, monkeypatch, 
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == "" and "norm drifted" in err
-    assert path.read_bytes() == b"".join(whole.splitlines(keepends=True)[:2])  # the setup stage
+    written = b"".join(whole.splitlines(keepends=True)[:2]) if where == "write" else b""  # the setup stage
+    assert path.read_bytes() == written
+    assert cli._trace_lines.cache_info().currsize == (where == "write")
     monkeypatch.undo()
     assert run_cli(capsys, *argv)[0] == 0
     assert path.read_bytes() == whole
@@ -632,7 +641,7 @@ def _protocol_leaves():
 
 def test_kept_trace_bytes_are_a_fresh_render_of_every_leaf(tmp_path, fresh_traces):
     """Every leaf written once keeps its stages' encoded lines: 36 entries, 90 416 bytes in all."""
-    pairs = list(_protocol_leaves())
+    pairs, kept = list(_protocol_leaves()), 0
     assert len(pairs) == 36
     for k, (stages, leaf) in enumerate(pairs):
         fresh = tuple((trace_to_jsonl(stage) + "\n").encode() for stage in stages(leaf))
@@ -642,20 +651,24 @@ def test_kept_trace_bytes_are_a_fresh_render_of_every_leaf(tmp_path, fresh_trace
                 for lines in cli._trace_lines(stages, leaf):
                     cli._write_all(trace, lines)
             assert path.read_bytes() == b"".join(fresh)
-        assert cli._TRACE_BYTES[stages, leaf] == fresh
-    assert len(cli._TRACE_BYTES) == 36
-    assert sum(len(lines) for kept in cli._TRACE_BYTES.values() for lines in kept) == 90_416
+        assert cli._trace_lines(stages, leaf) == fresh
+        kept += sum(map(len, fresh))
+    assert cli._trace_lines.cache_info().currsize == 36
+    assert kept == 90_416
 
 
 def test_warm_trace_is_the_cold_one(capsys, monkeypatch, tmp_path, fresh_traces):
-    """A call whose leaf was written before writes the kept bytes, without encoding: the cold call's file."""
+    """A call whose leaf was written before writes the kept lines, without rendering: the cold call's file."""
     cold, warm = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
     argv = ["run", "--scheme", "scheme_b", "--state", "random", "--trials", "3", "--seed", "11"]
     assert run_cli(capsys, *argv, "--emit-trace", str(cold))[0] == 0
+    info = cli._trace_lines.cache_info()
+    assert (info.hits, info.misses) == (0, 1)  # rendered once
     monkeypatch.setattr(cli, "trace_to_jsonl", _explode)
     assert run_cli(capsys, *argv, "--emit-trace", str(warm))[0] == 0
     assert warm.read_bytes() == cold.read_bytes()
-    assert len(cli._TRACE_BYTES) == 1
+    info = cli._trace_lines.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)  # written from the kept lines
 
 
 def test_trace_writer_resumes_short_writes():

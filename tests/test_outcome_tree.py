@@ -335,10 +335,10 @@ def test_sampling_heap_per_chunk_trial(scheme):
 def test_traced_run_heap_peak(tmp_path):
     """A traced 7-trial scheme_b run holds one stage of its 34-event trace at a time, not the whole trace.
 
-    A leaf rendered also holds the encoded lines of the stages before the one rendering, since it keeps them once
-    the last is written; a leaf written before holds only its kept lines. The lower of two peaks into a file the
-    caller opened (2 cores, Python 3.11.7, numpy 2.4.6): 13.5 KB rendered (11.8 KB before lines were kept, 16.2 KB
-    with the whole trace's events held first) and 6.9 KB written from the kept lines.
+    A leaf rendered also holds the encoded lines of the stages before the one rendering, since every stage is
+    encoded before the first is written; a leaf written before holds only its kept lines. The lower of two peaks
+    into a file the caller opened (2 cores, Python 3.11.7, numpy 2.4.6): 13.6 KB rendered (16.2 KB with the whole
+    trace's events held first) and 7.1 KB written from the kept lines.
     """
     s = haar_random_state(2, np.random.default_rng(11))
     path = tmp_path / "t.jsonl"
@@ -348,7 +348,7 @@ def test_traced_run_heap_peak(tmp_path):
         gc.collect()
 
         def rendered():
-            cli._TRACE_BYTES.clear()
+            cli._trace_lines.cache_clear()
             cli._run_trials(s, config, trace)
 
         # the lower of two: the first traced call after the warm-up reads about 3 KB high
