@@ -18,11 +18,13 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import re
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -165,9 +167,50 @@ def _csv_field(value) -> str:
     return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
 
 
+def _json_pieces(value, indent: str, pieces: list) -> None:
+    """Append ``value`` as json.dumps(value, sort_keys=True, indent=2, allow_nan=False) writes it at ``indent``.
+
+    Takes str-keyed dicts, lists, tuples, str, int, float, bool and None; a non-finite float raises
+    ValueError and any other type TypeError, as json.dumps does.
+    """
+    if isinstance(value, str):
+        pieces.append(encode_basestring_ascii(value))
+    elif value is None:
+        pieces.append("null")
+    elif isinstance(value, bool):
+        pieces.append("true" if value else "false")
+    elif isinstance(value, int):
+        pieces.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        pieces.append(float.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)) and not value:
+        pieces.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner, separator = indent + "  ", "{\n"
+        for key, item in sorted(value.items()):
+            pieces.append(f"{separator}{inner}{encode_basestring_ascii(key)}: ")
+            _json_pieces(item, inner, pieces)
+            separator = ",\n"
+        pieces.append(f"\n{indent}}}")
+    elif isinstance(value, (list, tuple)):
+        inner, separator = indent + "  ", "[\n"
+        for item in value:
+            pieces.append(separator + inner)
+            _json_pieces(item, inner, pieces)
+            separator = ",\n"
+        pieces.append(f"\n{indent}]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit_report(report: dict, output: str) -> None:
     if output == "json":
-        print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
+        pieces: list = []
+        _json_pieces(report, "", pieces)
+        pieces.append("\n")
+        sys.stdout.write("".join(pieces))
         return
     rows: list = []
     _flatten("", report, rows)
@@ -245,11 +288,22 @@ def cmd_run(config: RunConfig) -> int:
     return 0
 
 
+def _finite(value):
+    """``value`` with each non-finite float, at any depth, replaced by its repr, so that json.dumps writes strict JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, dict):
+        return {key: _finite(inner) for key, inner in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(inner) for inner in value]
+    return value
+
+
 def cmd_verify() -> int:
     """Run every invariant group; print one PASS/FAIL line per group.
 
-    Each failed group also prints its counterexample as one JSON line on
-    stderr.
+    Each failed group also prints its counterexample as one strict JSON
+    line on stderr, a non-finite float as its repr string.
     """
     from .verify import run_verification
 
@@ -259,7 +313,7 @@ def cmd_verify() -> int:
             print(f"PASS {result.name}")
         else:
             print(f"FAIL {result.name}: {result.detail}")
-            print(json.dumps(result.counterexample, sort_keys=True, default=str), file=sys.stderr)
+            print(json.dumps(_finite(result.counterexample), sort_keys=True, default=str), file=sys.stderr)
     return 0 if all(result.passed for result in results) else 1
 
 

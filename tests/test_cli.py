@@ -342,6 +342,43 @@ def test_csv_report_is_what_csv_writer_writes(report):
     assert out.getvalue() == expected.getvalue()
 
 
+# json.dumps's inputs that need care: quotes, backslashes, control and non-ASCII characters (escaped as \u,
+# astral ones as a surrogate pair), empty containers at any depth, and floats whose repr is their JSON text.
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\n\t\x7f\u00e9\u2028\u4e2d\U0001f600'), st.characters()), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False), _JSON_TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=10,
+)
+
+
+@given(report=st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=5))
+@settings(max_examples=100, deadline=None)
+@example(report={})
+@example(report=[])
+@example(report={"": {}, "a": [], "b": [[], {}, [[]]], "c": {"d": {"e": []}}})
+@example(report={"f": [0.1 + 0.2, 1e-320, 1e16, -0.0], "t": (1, "x", ()), "b": [True, False, None], "q": 'say "hi" \\ \u00e9\x01'})
+def test_json_report_is_what_json_dumps_writes(report):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_report(report, "json")
+    assert out.getvalue() == json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize(("value", "error"), [
+    (float("nan"), ValueError), (float("inf"), ValueError), (float("-inf"), ValueError), (np.int64(1), TypeError),
+])
+def test_json_report_refuses_what_json_dumps_refuses(value, error):
+    """A non-finite float and a type JSON has no form for raise at any depth, as in json.dumps; nothing is written."""
+    report = {"a": 1, "b": [{"c": value}]}
+    with pytest.raises(error):
+        json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(error):
+        cli._emit_report(report, "json")
+    assert out.getvalue() == ""
+
+
 def test_csv_report_bytes_are_pinned(capsys, monkeypatch, tmp_path):
     """Quoted fields and CRLF row ends, as csv.writer wrote them: a state spec and a trace path with commas."""
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 1.0))  # duration_ms 0.0
@@ -384,6 +421,28 @@ def test_json_report_bytes_are_pinned(capsys, monkeypatch):
         '      "PsiPlus": 0\n    }\n  },\n  "fidelity": 0.9999999999999996,\n  "ledger": {\n'
         '    "ebits_consumed": 6,\n    "ebits_granted": 6\n  }\n}\n'
     )
+
+
+def test_json_report_emission_heap_is_near_the_csv_one(capsys, monkeypatch):
+    """Writing the pinned report as JSON peaks at most 1 500 B above writing it as CSV (json.dumps with indent: +4.3 KB)."""
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 1.0))
+    emit, reports = cli._emit_report, []
+    monkeypatch.setattr(cli, "_emit_report", lambda report, output: reports.append(report))
+    assert run_cli(capsys, "run", "--scheme", "scheme_b", "--state=0.6,0,0,0.8i", "--trials", "3", "--seed", "5")[0] == 0
+
+    def peak(output):
+        peaks = []
+        for _ in range(2):
+            with contextlib.redirect_stdout(io.StringIO()):
+                tracemalloc.start()
+                try:
+                    emit(reports[0], output)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        return min(peaks)
+
+    assert peak("json") <= peak("csv") + 1_500
 
 
 def test_duration_is_the_runs_wall_time(capsys, monkeypatch):
@@ -821,6 +880,24 @@ def test_verify_command_reports_failure(capsys, monkeypatch):
     # raised directly (as in the acceptance criteria), the message carries the counterexample
     with pytest.raises(Exception, match='deliberately broken {"case": 3}'):
         broken()
+
+
+def test_verify_counterexample_is_strict_json(capsys, monkeypatch):
+    """A non-finite float in a counterexample, at any depth, is printed as its repr string, never as NaN."""
+    def not_finite():
+        verify._check(False, "not finite", deviation=float("nan"), worst=float("inf"),
+                      pair=(np.float64("-inf"), {"x": [float("nan"), 0.5]}))
+
+    monkeypatch.setattr(verify, "GROUPS", (("demo", not_finite),))
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1 and out == "FAIL demo: not finite\n"
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    assert json.loads(err, parse_constant=refuse) == {
+        "deviation": "nan", "group": "demo", "pair": ["-inf", {"x": ["nan", 0.5]}], "worst": "inf"
+    }
 
 
 @pytest.fixture
