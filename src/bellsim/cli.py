@@ -288,24 +288,13 @@ def cmd_run(config: RunConfig) -> int:
     return 0
 
 
-def _finite(value):
-    """``value`` with each non-finite float, at any depth, replaced by its repr, so that json.dumps writes strict JSON."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return float.__repr__(value)
-    if isinstance(value, dict):
-        return {key: _finite(inner) for key, inner in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite(inner) for inner in value]
-    return value
-
-
 def cmd_verify() -> int:
     """Run every invariant group; print one PASS/FAIL line per group.
 
     Each failed group also prints its counterexample as one strict JSON
     line on stderr, a non-finite float as its repr string.
     """
-    from .verify import run_verification
+    from .verify import _finite, run_verification
 
     results = run_verification()
     for result in results:
@@ -324,7 +313,8 @@ def _default_seed() -> int:
     return int(raw)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """A new ``bellsim`` parser and its ``run`` subparser, the one object that parser passes a ``run`` argv to."""
     parser = argparse.ArgumentParser(
         prog="bellsim",
         description="Bell state measurement protocols built from nonlocal spin products",
@@ -345,20 +335,35 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the first trial's event trace as JSON lines")
 
     sub.add_parser("verify", help="run the invariant suite")
-    return parser
+    return parser, run
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new full ``bellsim`` parser on every call."""
+    return _build_parsers()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reuses: built on its first call, not at import; ``parse_args`` only reads it."""
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The parsers ``main`` reuses: built on its first call, not at import; parsing only reads them."""
+    return _build_parsers()
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """``parse_args``, whose --help is written here: argparse drops a write that meets a closed stdout."""
+    """``parse_args``, whose --help is written here: argparse drops a write that meets a closed stdout.
+
+    A ``run`` argv is parsed once, by the subparser the full parser hands it to; the full parser parses it
+    again only to reject what that leaves over, with its own prog and usage.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, run = _parsers()
     try:
         with contextlib.redirect_stdout(io.StringIO()) as printed:
-            return _parser().parse_args(argv)
+            if argv[:1] == ["run"]:
+                args, extras = run.parse_known_args(argv[1:], argparse.Namespace(command="run"))
+                if not extras:
+                    return args
+            return parser.parse_args(argv)
     except SystemExit:
         sys.stdout.write(printed.getvalue())
         sys.stdout.flush()

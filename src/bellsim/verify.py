@@ -73,9 +73,20 @@ class GroupResult:
     counterexample: dict | None
 
 
+def _finite(value):
+    """``value`` with each non-finite float, at any depth, replaced by its repr, so that json.dumps writes strict JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, dict):
+        return {key: _finite(inner) for key, inner in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(inner) for inner in value]
+    return value
+
+
 class _Failure(Exception):
     def __init__(self, detail: str, counterexample: dict):
-        super().__init__(f"{detail} {json.dumps(counterexample, sort_keys=True, default=str)}")
+        super().__init__(f"{detail} {json.dumps(_finite(counterexample), sort_keys=True, default=str)}")
         self.detail = detail
         self.counterexample = counterexample
 

@@ -898,29 +898,138 @@ def test_verify_counterexample_is_strict_json(capsys, monkeypatch):
     assert json.loads(err, parse_constant=refuse) == {
         "deviation": "nan", "group": "demo", "pair": ["-inf", {"x": ["nan", 0.5]}], "worst": "inf"
     }
+    # raised directly (as in the acceptance criteria), the message ends in the same strict JSON
+    with pytest.raises(verify._Failure) as raised:
+        verify._check(False, "x", deviation=float("nan"), worst=float("inf"))
+    assert json.loads(str(raised.value).removeprefix("x "), parse_constant=refuse) == {
+        "deviation": "nan", "worst": "inf"
+    }
 
 
 @pytest.fixture
 def fresh_parser():
-    """``main``'s parser built anew for the test, and dropped after it."""
-    cli._parser.cache_clear()
+    """``main``'s parsers built anew for the test, and dropped after it."""
+    cli._parsers.cache_clear()
     yield
-    cli._parser.cache_clear()
+    cli._parsers.cache_clear()
 
 
 def test_main_builds_its_parser_once_per_process(capsys, monkeypatch, fresh_parser):
-    """A good run, a usage error and --help share the one parser of the first call."""
+    """A good run, usage errors, --help and verify share the one build of the first call."""
     builds = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(None) or build())
+    build = cli._build_parsers
+    monkeypatch.setattr(cli, "_build_parsers", lambda: builds.append(None) or build())
+    monkeypatch.setattr(verify, "GROUPS", verify.GROUPS[:1])
     assert run_cli(capsys, "run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", "3")[0] == 0
-    with pytest.raises(SystemExit) as usage:
-        main(["run", "--scheme", "bogus", "--state", "PhiPlus"])
-    assert usage.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    for argv, message in ((["run", "--scheme", "bogus", "--state", "PhiPlus"], "invalid choice"),
+                          (["run", "--scheme", "fig1", "--state", "PhiPlus", "--bogus"], "unrecognized")):
+        with pytest.raises(SystemExit) as usage:
+            main(argv)
+        assert usage.value.code == 2 and message in capsys.readouterr().err
     with pytest.raises(SystemExit) as shown:
         main(["run", "--help"])
     assert shown.value.code == 0 and "--emit-trace" in capsys.readouterr().out
+    assert run_cli(capsys, "verify")[:2] == (0, "PASS pauli-algebra\n")
     assert len(builds) == 1
+
+
+def test_a_run_argv_is_parsed_by_its_subparser_alone(capsys, monkeypatch, fresh_parser):
+    """A good run never reaches the full parser's parse_args; an argv with extras is rejected by it."""
+    parser, _ = cli._parsers()
+    full = []
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: full.append(argv) or parse_args(argv))
+    good = ["run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", "3"]
+    assert run_cli(capsys, *good)[0] == 0 and full == []
+    with pytest.raises(SystemExit) as usage:
+        main([*good, "stray"])
+    assert usage.value.code == 2 and full == [[*good, "stray"]]
+    assert capsys.readouterr().err.endswith("bellsim: error: unrecognized arguments: stray\n")
+
+
+def _parsed(parse, argv):
+    """(exit code, stdout, stderr, vars of the namespace) of ``parse(argv)``: the code None if it returns, the namespace if it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    code, namespace = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parse(list(argv)))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+def _assert_parsed_as_full_parser(argv):
+    assert _parsed(cli._parse_args, argv) == _parsed(cli.build_parser().parse_args, argv)
+
+
+_GOOD = ("--scheme", "fig1", "--state", "PhiPlus")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", *_GOOD],
+    ["run", "--scheme=scheme_b", "--state=random", "--trials=7", "--seed=3", "--output=csv", "--emit-trace=t.jsonl"],
+    ["run", "--sch", "photonic", "--st", "PsiMinus", "--tr", "5", "--se", "2", "--o", "csv", "--e", "t.jsonl"],
+    ["run", "--s", "fig1", "--state", "PhiPlus"],  # ambiguous abbreviation
+    ["run", "--", *_GOOD],
+    ["run", *_GOOD, "--"],
+    ["--", "run", *_GOOD],
+    ["run", "--scheme", "fig1", "--scheme", "scheme_a", "--state", "PhiPlus", "--seed", "1", "--seed", "2"],
+    ["run", *_GOOD, "stray"],
+    ["run", *_GOOD, "--trials", "3", "run"],
+    ["run", *_GOOD, "--bogus"],
+    ["run", "--bogus=1", *_GOOD],
+    ["run", "--scheme", "fig1", "--state"],
+    ["run", "--scheme", "fig1"],
+    ["run", "--scheme", "nope", "--state", "PhiPlus"],
+    ["run", *_GOOD, "--trials", "ten"],
+    ["run", *_GOOD, "--output", "xml"],
+    ["run", "--scheme", "fig1", "-h"],
+    ["run", "--bogus", "--help"],
+    ["run", "--scheme", "fig1", "--state", "-0.6,0.8i,0,0"],
+    ["run", "--scheme", "fig1", "--state=-0.6,0.8i,0,0"],
+    ["run", "--seed", "-5", *_GOOD],
+    ["run"],
+    [],
+    ["-h", "run"],
+    ["--help"],
+    ["verify"],
+    ["verify", "x"],
+    ["ru", *_GOOD],
+])
+def test_main_parses_an_argv_as_the_full_parser_does(argv):
+    _assert_parsed_as_full_parser(argv)
+
+
+_RUN_VALUES = {  # each option's good values, then its bad ones
+    "--scheme": (tuple(SCHEMES), ("nope",)),
+    "--state": (("PhiPlus", "random", "0.6,0.8i,0,0", "-0.6,0.8i,0,0", "a b"), ("",)),
+    "--trials": (("3", "-2"), ("ten", "1e3")),
+    "--seed": (("0", "-5", "18446744073709551615"), ("x",)),
+    "--output": (("json", "csv"), ("xml",)),
+    "--emit-trace": (("t.jsonl", "a b.jsonl"), ("-t.jsonl",)),
+}
+
+
+@st.composite
+def _run_argvs(draw):
+    """``run`` argv: options shuffled, split or joined, abbreviated or repeated; bad values and extras in half of them."""
+    bad = draw(st.booleans())
+    names = list(draw(st.sampled_from([("--scheme", "--state")] * 4 + [("--scheme",), ()])))
+    names += draw(st.lists(st.sampled_from(sorted(_RUN_VALUES)), max_size=5))
+    groups = [draw(st.sampled_from([[], ["--bogus"], ["--bogus=1"], ["stray"], ["--"], ["-h"]]) if bad else st.just([]))]
+    for name in names:
+        spelled = name[:draw(st.one_of(st.just(len(name)), st.integers(3, len(name))))]
+        good, wrong = _RUN_VALUES[name]
+        value = draw(st.sampled_from(good + wrong if bad else good))
+        groups.append(draw(st.sampled_from([[f"{spelled}={value}"], [spelled, value]])))
+    return ["run", *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_run_argvs())
+def test_main_parses_any_run_argv_as_the_full_parser_does(argv):
+    _assert_parsed_as_full_parser(argv)
 
 
 _PLAIN_RUN = ("run", "--scheme", "scheme_b", "--state", "random", "--trials", "20")
@@ -945,7 +1054,7 @@ def test_consecutive_calls_share_no_arguments(capsys, monkeypatch, tmp_path, fre
     assert code == 0
     config = report_of(reused)["config"]
     assert (config["seed"], config["output"], config["emit_trace"]) == (0, "json", None)
-    cli._parser.cache_clear()
+    cli._parsers.cache_clear()
     assert run_cli(capsys, *_PLAIN_RUN)[1] == reused  # the same argv through a parser built for it
 
 
