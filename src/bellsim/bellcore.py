@@ -95,7 +95,9 @@ class BellCoefficients:
 def to_bell(s: StateVector) -> BellCoefficients:
     """Expand a 2-qubit state in the Bell basis."""
     _require_two_qubits(s)
-    return BellCoefficients(*(complex(np.vdot(bell.amplitudes, s.amplitudes)) for bell in _BELL_STATES.values()))
+    # a list, not a generator: CPython sizes a *-argument tuple built from a generator by resizing a larger one,
+    # and each such call leaves one more 4-tuple on its free list until a full collection
+    return BellCoefficients(*[complex(np.vdot(bell.amplitudes, s.amplitudes)) for bell in _BELL_STATES.values()])
 
 
 def from_bell(c: BellCoefficients) -> StateVector:

@@ -26,13 +26,14 @@ Register layout (qubit 0 = leftmost factor):
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bellcore import BellLabel, bell_state, classify
 from .measure import RngStream, _choose_outcome
-from .qstate import HADAMARD, StateVector, _axis_orders, _require_two_qubits, bit_of, computational_state
+from .qstate import HADAMARD, StateVector, _axis_orders, _require_two_qubits, _wrap, bit_of, computational_state
 
 N_QUBITS = 6
 
@@ -83,13 +84,21 @@ def _cnot_gather(control: int, target: int) -> np.ndarray:
     return index ^ (((index >> (N_QUBITS - 1 - control)) & 1) << (N_QUBITS - 1 - target))
 
 
-def _gather_plan(block_order) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three gathers around the Hadamards of the two optical blocks.
+# the shared path pair starts in |Phi+>, the two local path qubits in |00>
+_METER = bell_state(BellLabel.PHI_PLUS).amplitudes
+_TAIL = computational_state("00").amplitudes
+
+
+def _gather_plan(block_order) -> tuple[np.ndarray, ...]:
+    """The register's assembly in its first gather's order, then the gathers after each Hadamard.
 
     Each Hadamard acts on the register with its polarization moved to the
     front axis, the ``(2, 32)`` layout ``_apply_matrix`` hands to the matmul,
     so it rounds as the gate does. The CNOTs and axis moves between two
     Hadamards only permute amplitudes, so they compose into one index array.
+    The first such gather is folded into the assembly: register index
+    ``16 i + 4 j + t`` holds ``(s[i] * meter[j]) * tail[t]``, so the plan
+    starts with each gathered index's ``i`` and its meter and tail amplitudes.
     """
     plan, pending = [], np.arange(1 << N_QUBITS)
     for reg in block_order:
@@ -98,15 +107,32 @@ def _gather_plan(block_order) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         plan.append(pending[_cnot_gather(reg.polarization, reg.path_z)][to_front])
         pending = np.argsort(to_front)[_cnot_gather(reg.polarization, reg.path_x)]
     plan.append(pending)
-    for gather in plan:
-        gather.setflags(write=False)
+    first = plan.pop(0)
+    plan[:0] = first >> 4, _METER[(first >> 2) & 3], _TAIL[first & 3]
+    for step in plan:
+        step.setflags(write=False)
     return tuple(plan)
 
 
 # block order -> its gather plan, built once (read-only, so shared)
 _PLANS = {order: _gather_plan(order) for order in ((REGISTER_A, REGISTER_B), (REGISTER_B, REGISTER_A))}
-# the two local path qubits start in |00>
-_TAIL = computational_state("00").amplitudes
+
+
+def _registers(amps: np.ndarray, plan=_PLANS[REGISTER_A, REGISTER_B]) -> np.ndarray:
+    """Each row of ``amps`` (n, 4) as the 6-qubit register after both optical blocks, (n, 64), bit for bit as alone.
+
+    Each Hadamard is a ``(2, 32)`` product of its own; two registers take turns as gather and product outputs.
+    """
+    polarization, meter, tail, middle, last = plan
+    n = len(amps)
+    register = amps.take(polarization, 1)
+    for row in register:  # row by row, so that numpy allocates no iterator buffers
+        row *= meter
+        row *= tail
+    work = HADAMARD @ register.reshape(n, 2, -1)
+    work.reshape(n, -1).take(middle, 1, register, "clip")
+    np.matmul(HADAMARD, register.reshape(n, 2, -1), work)
+    return work.reshape(n, -1).take(last, 1, register, "clip")
 
 
 def build_photonic_run(s: StateVector, block_order=(REGISTER_A, REGISTER_B)) -> StateVector:
@@ -120,12 +146,7 @@ def build_photonic_run(s: StateVector, block_order=(REGISTER_A, REGISTER_B)) -> 
     plan = _PLANS.get(tuple(block_order))
     if plan is None:
         raise ValueError("block_order must be a permutation of (REGISTER_A, REGISTER_B)")
-    first, middle, last = plan
-    meter = bell_state(BellLabel.PHI_PLUS).amplitudes
-    amps = np.multiply.outer(np.multiply.outer(s.amplitudes, meter).ravel(), _TAIL).ravel()
-    amps = HADAMARD @ amps[first].reshape(2, -1)
-    amps = HADAMARD @ amps.reshape(-1)[middle].reshape(2, -1)
-    return StateVector(N_QUBITS, amps.reshape(-1)[last])
+    return _wrap(N_QUBITS, _registers(s.amplitudes[None], plan)[0])
 
 
 def detect(final: StateVector, rng: RngStream) -> tuple[DetectorIndex, DetectorIndex]:
@@ -160,11 +181,26 @@ _EVENTS = tuple((_port(index, REGISTER_A), _port(index, REGISTER_B)) for index i
 _LABEL_INDEX = np.array([photonic_label(event).index for event in _EVENTS])
 
 
-def label_distribution(s: StateVector) -> np.ndarray:
-    """Analytic label probabilities (order Phi+, Phi-, Psi+, Psi-).
+@functools.lru_cache(maxsize=4)
+def _label_offsets(n: int) -> np.ndarray:
+    """Label index + 4 k for each index of row k of n registers: one bincount sums each row in index order."""
+    offsets = (_LABEL_INDEX + 4 * np.arange(n)[:, None]).ravel()
+    offsets.setflags(write=False)
+    return offsets
+
+
+def label_distributions(amps: np.ndarray) -> np.ndarray:
+    """Analytic label probabilities (order Phi+, Phi-, Psi+, Psi-) of each row of ``amps``, (n, 4) -> (n, 4).
 
     Computed from the joint path-readout marginals of the assembled optical
     state, independently of the abstract protocol route.
     """
-    final = build_photonic_run(s)
-    return np.bincount(_LABEL_INDEX, np.abs(final.amplitudes) ** 2, 4)
+    weights = np.abs(_registers(amps))
+    weights **= 2
+    return np.bincount(_label_offsets(len(amps)), weights.reshape(-1), 4 * len(amps)).reshape(-1, 4)
+
+
+def label_distribution(s: StateVector) -> np.ndarray:
+    """:func:`label_distributions` of the one state ``s``."""
+    _require_two_qubits(s)
+    return label_distributions(s.amplitudes[None])[0]

@@ -467,19 +467,28 @@ _SCHEME_A_POVM = _by_label(scheme_a_povm())
 _SCHEME_B_OPS = _by_label(scheme_b_measurement_operators())
 
 
-def _fig1_analytic(s: StateVector) -> np.ndarray:
-    """The circuit matrix's output weights, summed onto the labels they name."""
-    return np.bincount(_FIG1_LABELS.ravel(), np.abs(_FIG1_UNITARY @ s.amplitudes) ** 2, len(_LABELS))
+# Each route maps (n, 4) amplitudes to (n, 4) label probabilities, row k bit for bit the route on state k alone:
+# one (4, 4) matrix-vector product per state, and what a batched form would round differently (vdot, norm) per row.
+_FIG1_ORDER = np.argsort(_FIG1_LABELS.ravel())  # each fig1 output weight names one label: a gather in label order
 
 
-def _scheme_a_analytic(s: StateVector) -> np.ndarray:
-    """<s| E_mn |s> over the composed POVM, all four E_mn |s> in one stacked product."""
-    return np.array([np.vdot(s.amplitudes, row).real for row in _SCHEME_A_POVM @ s.amplitudes])
+def _fig1_analytic(amps: np.ndarray) -> np.ndarray:
+    """The circuit matrix's output weights, moved onto the labels they name."""
+    weights = np.abs(_FIG1_UNITARY @ amps[..., None])[..., 0]
+    weights **= 2
+    return weights.take(_FIG1_ORDER, 1)
 
 
-def _scheme_b_analytic(s: StateVector) -> np.ndarray:
-    """||M_mn s||^2 over the filter's composed measurement operators."""
-    return np.array([float(np.linalg.norm(op @ s.amplitudes) ** 2) for op in _SCHEME_B_OPS])
+def _scheme_a_analytic(amps: np.ndarray) -> np.ndarray:
+    """<s| E_mn |s> over the composed POVM: all E_mn |s> in one stacked product, then a vdot each."""
+    products = (_SCHEME_A_POVM @ amps[:, None, :, None]).reshape(-1, 4)
+    return np.fromiter(map(np.vdot, amps.repeat(4, 0), products), complex, len(products)).real.reshape(-1, 4)
+
+
+def _scheme_b_analytic(amps: np.ndarray) -> np.ndarray:
+    """||M_mn s||^2 over the filter's composed measurement operators: one stacked product, then a norm each."""
+    products = (_SCHEME_B_OPS @ amps[:, None, :, None]).reshape(-1, 4)
+    return np.fromiter((norm**2 for norm in map(np.linalg.norm, products)), float, len(products)).reshape(-1, 4)
 
 
 # --- Scheme table and the distributions it routes ------------------------------
@@ -493,7 +502,7 @@ class Scheme(NamedTuple):
     runner: Callable[..., ProtocolResult] | None
     stages: Callable | None  # leaf of the tree -> the trace of a run that reached it, stage by stage; None for photonic
     tree: Callable  # s -> (first-stage weights, child, labels), as measure.OutcomeTree samples them
-    analytic: Callable  # s -> label probabilities in label order, along the route's own algebra
+    analytic: Callable  # (n, 4) amplitudes -> (n, 4) label probabilities in label order, along the route's own algebra
     # a Bell filter: the post-state is the labelled Bell state, so a run reports its fidelity
     filters: bool
 
@@ -503,7 +512,7 @@ SCHEMES = {
     "fig1": Scheme(0, run_fig1, _fig1_stages, _fig1_tree, _fig1_analytic, False),
     "scheme_a": _spin_product_scheme(NONLOCAL, LOCAL, _scheme_a_analytic),
     "scheme_b": _spin_product_scheme(NONLOCAL, NONLOCAL, _scheme_b_analytic),
-    "photonic": Scheme(1, None, None, _photonic_tree, photonic.label_distribution, False),
+    "photonic": Scheme(1, None, None, _photonic_tree, photonic.label_distributions, False),
 }
 
 
@@ -541,4 +550,4 @@ def outcome_distribution(s: StateVector, scheme: str, trials: int, seed: int) ->
 def analytic_label_distribution(s: StateVector, scheme: str) -> np.ndarray:
     """Exact label probabilities (order Phi+, Phi-, Psi+, Psi-), along the scheme's own route."""
     _require_two_qubits(s)
-    return get_scheme(scheme).analytic(s)
+    return get_scheme(scheme).analytic(s.amplitudes[None])[0].copy()  # the row alone: no stack held with it

@@ -1,5 +1,7 @@
 """Bell bases, coefficient expansion, spin products and classification."""
+import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +62,25 @@ def test_to_bell_plus_plus():
 def test_to_bell_basis_element():
     c = to_bell(bell_state(BellLabel.PHI_MINUS))
     np.testing.assert_allclose(c.as_array(), [0, 1, 0, 0], atol=1e-15)
+
+
+def test_to_bell_leaves_nothing_behind():
+    """500 expansions hold no memory after they return: a *-argument tuple built from a generator would leave one
+    4-tuple per call on CPython's free list (36 KB here), which verify's sweep then carried to its heap peak."""
+    states = [haar_random_state(2, np.random.default_rng(seed)) for seed in range(5)]
+    for s in states:
+        to_bell(s)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(100):
+            for s in states:
+                to_bell(s)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 2_000
 
 
 def test_to_bell_requires_two_qubits():

@@ -20,7 +20,8 @@ from bellsim.photonic import (
     photonic_label,
 )
 from bellsim.protocols import SCHEMES, analytic_label_distribution, outcome_distribution
-from bellsim.qstate import CNOT, HADAMARD, _apply_matrix, bit_of, computational_state, haar_random_state, tensor
+from bellsim.qstate import bit_of, computational_state, haar_random_state
+from one_state_routes import gate_by_gate
 
 
 def port_probabilities(final, photon):
@@ -162,16 +163,6 @@ def test_photonic_matches_abstract_scheme_analytically():
         np.testing.assert_allclose(label_distribution(s), to_bell(s).probabilities(), atol=1e-12)
 
 
-def _gate_by_gate(s, block_order):
-    """Reference build: the register pushed through each photon's gate list, one gate at a time."""
-    amps = tensor(tensor(s, bell_state(BellLabel.PHI_PLUS)), computational_state("00")).amplitudes
-    for reg in block_order:
-        amps = _apply_matrix(amps, 6, CNOT, (reg.polarization, reg.path_z))  # PBS(Z)
-        amps = _apply_matrix(amps, 6, HADAMARD, (reg.polarization,))  # HWP
-        amps = _apply_matrix(amps, 6, CNOT, (reg.polarization, reg.path_x))  # PBS(X)
-    return amps
-
-
 NEAR_FLOOR, LEADING_MINUS = (resolve_state(spec, seed=0)[0] for spec in ("1,0,1.5e-6,2.5e-8", "-0.6,0.8i,0,0"))
 NAMED_INPUTS = [bell_state(label) for label in BellLabel] + [
     computational_state(bits) for bits in ("00", "01", "10", "11")
@@ -190,7 +181,7 @@ NAMED_INPUTS = [bell_state(label) for label in BellLabel] + [
 def test_build_replays_the_gate_circuit(s):
     # the gather plan is the gate circuit bit for bit, signed zeros included
     for order in ((REGISTER_A, REGISTER_B), (REGISTER_B, REGISTER_A)):
-        assert build_photonic_run(s, block_order=order).amplitudes.tobytes() == _gate_by_gate(s, order).tobytes()
+        assert build_photonic_run(s, block_order=order).amplitudes.tobytes() == gate_by_gate(s, order).tobytes()
 
 
 def test_optical_block_order_is_irrelevant():

@@ -1,6 +1,7 @@
 """Protocol runs, LOCC audit, ledgers and outcome distributions."""
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim.bellcore import BellCoefficients, BellLabel, bell_state, from_bell, outcome_pair, spin_product, to_bell
-from bellsim import bellcore, cli, photonic, protocols
+from bellsim import bellcore, cli, photonic, protocols, verify
 from bellsim.cli import resolve_state
 from bellsim.measure import (
     ALICE,
     NONLOCAL,
     NONLOCAL_WIRES,
+    PROB_FLOOR,
     TREE_WALK,
     MeasurementRecord,
     OutcomeTree,
@@ -44,6 +46,7 @@ from bellsim.protocols import (
     trace_to_jsonl,
 )
 from bellsim.qstate import CNOT, HADAMARD, ID2, computational_state, fidelity, haar_random_state, states_equal
+from one_state_routes import ONE_STATE
 from state_strategies import states
 
 LABELS = bellcore._LABELS
@@ -192,6 +195,34 @@ def test_scheme_a_analytic_is_the_per_label_form(s):
     amps = s.amplitudes
     per_label = np.array([np.vdot(amps, element @ amps).real for element in protocols._SCHEME_A_POVM])
     assert analytic_label_distribution(s, "scheme_a").tobytes() == per_label.tobytes()
+
+
+# a third coefficient of weight about PROB_FLOOR, a little under and over it
+FLOOR_SPECS = [f"1,0,{math.sqrt(w)!r},0" for w in (PROB_FLOOR / 2, PROB_FLOOR, np.nextafter(PROB_FLOOR, 1), 2 * PROB_FLOOR)]
+SPECIAL_STATES = [bell_state(label) for label in LABELS] + [
+    resolve_state(spec, 0)[0] for spec in ("1,0,1.5e-6,2.5e-8", "-0.6,0.8i,0,0", *FLOOR_SPECS)
+]
+
+
+@given(stack=st.lists(st.one_of(states(2), st.sampled_from(SPECIAL_STATES)), min_size=1, max_size=verify._BLOCK + 1))
+@settings(max_examples=150, deadline=None)
+@example(stack=SPECIAL_STATES)
+@example(stack=[haar_random_state(2, np.random.default_rng(seed)) for seed in range(verify._BLOCK + 1)])
+def test_stacked_routes_equal_the_one_state_routes(stack):
+    """Each route's row k is its one-state route on state k, bit for bit, for stacks of 1 to a verify block and one.
+
+    The one-state routes are kept in ``one_state_routes.py`` as they were written before the routes took a stack.
+    """
+    amps = np.array([s.amplitudes for s in stack])
+    for scheme, row in SCHEMES.items():
+        stacked = row.analytic(amps)
+        assert stacked.shape == (len(stack), 4)
+        for s, probabilities in zip(stack, stacked):
+            reference = ONE_STATE[scheme](s).tobytes()
+            assert probabilities.tobytes() == reference
+            assert analytic_label_distribution(s, scheme).tobytes() == reference
+    for s in stack:
+        assert photonic.label_distribution(s).tobytes() == ONE_STATE["photonic"](s).tobytes()
 
 
 def test_analytic_routes_do_not_rebuild_their_operators(monkeypatch):

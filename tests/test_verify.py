@@ -1,12 +1,15 @@
 """The verify sweep's own helpers and bounds: its Haar unitaries, its tolerance test and the limits its checks enforce."""
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bellsim import verify
+from bellsim import photonic, verify
 from bellsim.bellcore import BellLabel, bell_state, to_bell
+from bellsim.protocols import SCHEMES, analytic_label_distribution
 from bellsim.qstate import haar_random_state
 
 
@@ -111,3 +114,126 @@ def test_spin_commutator_check_compares_the_nonzero_commutators(monkeypatch):
     with pytest.raises(verify._Failure, match="disagrees with matrix oracle") as failure:
         verify.check_spin_commutators()
     assert failure.value.counterexample == {"pair": ("S_xx", "S_xy")}
+
+
+# --- born-rule and photonic-equivalence: the routes on blocks of states ----------------------------------------
+
+
+def _haar_amplitudes(seed, cases):
+    rng = np.random.default_rng(seed)
+    return [haar_random_state(2, rng).amplitudes for _ in range(cases)]
+
+
+def _perturb(monkeypatch, scheme, targets, amount=1e-9):
+    """``scheme``'s analytic route, with ``amount`` added to label 0 of each state among ``targets``."""
+    route = SCHEMES[scheme].analytic
+
+    def perturbed(amps):
+        out = route(amps).copy()
+        for k, row in enumerate(amps):
+            if any(np.array_equal(row, target) for target in targets):
+                out[k, 0] += amount
+        return out
+
+    monkeypatch.setitem(SCHEMES, scheme, SCHEMES[scheme]._replace(analytic=perturbed))
+    if scheme == "photonic":  # photonic-equivalence calls it by name, as photonic.label_distribution does
+        monkeypatch.setattr(verify, "label_distributions", perturbed)
+        monkeypatch.setattr(photonic, "label_distributions", perturbed)
+
+
+def _one_state_at_a_time(check):
+    """The first counterexample of ``check``'s route comparison as its loop over one state at a time found it."""
+    if check is verify.check_photonic_equivalence:
+        rng = np.random.default_rng(707)
+        for case in range(500):
+            s = haar_random_state(2, rng)
+            delta = float(np.abs(photonic.label_distribution(s) - analytic_label_distribution(s, "scheme_a")).max())
+            if not delta <= verify._ROUTE_BOUND:
+                return {"case": case, "deviation": delta}
+    else:
+        rng = np.random.default_rng(2031)
+        for case in range(100):
+            s = haar_random_state(2, rng)
+            reference = to_bell(s).probabilities()
+            for scheme in SCHEMES:
+                delta = float(np.abs(analytic_label_distribution(s, scheme) - reference).max())
+                if not delta <= verify._ROUTE_BOUND:
+                    return {"case": case, "scheme": scheme, "deviation": delta}
+    return None
+
+
+@pytest.mark.parametrize("perturbed", [
+    {"photonic": (37,)},  # in the fourth block of 10
+    {"photonic": (37, 450)},  # two blocks: the earlier case
+    {"photonic": (39, 37)},  # one block: the earlier case
+])
+def test_photonic_equivalence_reports_the_first_failing_state(monkeypatch, perturbed):
+    amplitudes = _haar_amplitudes(707, 500)
+    for scheme, cases in perturbed.items():
+        _perturb(monkeypatch, scheme, [amplitudes[case] for case in cases])
+    with pytest.raises(verify._Failure, match="photonic route deviates") as failure:
+        verify.check_photonic_equivalence()
+    assert failure.value.counterexample == _one_state_at_a_time(verify.check_photonic_equivalence)
+    assert failure.value.counterexample["case"] == min(perturbed["photonic"])
+
+
+@pytest.mark.parametrize("perturbed, first", [
+    ({"scheme_b": (61,)}, (61, "scheme_b")),  # in the seventh block of 10
+    ({"scheme_b": (61,), "photonic": (90,)}, (61, "scheme_b")),  # two blocks: the earlier case
+    ({"photonic": (61,), "scheme_b": (61,)}, (61, "scheme_b")),  # one state: the earlier scheme
+    ({"photonic": (60,), "scheme_b": (61,)}, (60, "photonic")),  # one block: the earlier case, whatever the scheme
+])
+def test_born_rule_reports_the_first_failing_state_and_scheme(monkeypatch, perturbed, first):
+    amplitudes = _haar_amplitudes(2031, 100)
+    for scheme, cases in perturbed.items():
+        _perturb(monkeypatch, scheme, [amplitudes[case] for case in cases])
+    with pytest.raises(verify._Failure, match="analytic distribution deviates") as failure:
+        verify.check_born_rule()
+    assert failure.value.counterexample == _one_state_at_a_time(verify.check_born_rule)
+    assert (failure.value.counterexample["case"], failure.value.counterexample["scheme"]) == first
+
+
+def test_route_checks_report_a_nan_deviation(monkeypatch):
+    amplitudes = _haar_amplitudes(707, 500)
+    _perturb(monkeypatch, "photonic", [amplitudes[12]], math.nan)
+    with pytest.raises(verify._Failure, match="photonic route deviates") as failure:
+        verify.check_photonic_equivalence()
+    assert failure.value.counterexample["case"] == 12 and math.isnan(failure.value.counterexample["deviation"])
+
+
+def test_a_scheme_a_mutant_inside_the_old_bounds_fails_both_route_checks(monkeypatch):
+    """Scheme (a)'s route moved by 5e-13 between two labels passed the old 1e-12 bounds; the derived one catches it."""
+    row = SCHEMES["scheme_a"]
+    mutant = row._replace(analytic=lambda amps: row.analytic(amps) + [5e-13, -5e-13, 0, 0])
+    monkeypatch.setitem(SCHEMES, "scheme_a", mutant)
+    failed = {result.name: result.counterexample for result in verify.run_verification() if not result.passed}
+    assert set(failed) == {"born-rule", "photonic-equivalence"}
+    assert (failed["born-rule"]["case"], failed["born-rule"]["scheme"]) == (0, "scheme_a")
+    assert failed["photonic-equivalence"]["case"] == 0
+    assert all(4e-13 < counterexample["deviation"] < 1e-12 for counterexample in failed.values())
+
+
+def _lowest_heap_peak(check) -> int:
+    """The lower of two heap peaks of ``check()``, in bytes above the heap before it, each after a full collection."""
+    check()  # first-call caches (numpy's, the label offsets') are not the check's
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            gc.collect()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            check()
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    return min(peaks)
+
+
+# Peaks with blocks of 10 states (2 cores, Python 3.11.7, numpy 2.4.6): born-rule 29.6 KB, photonic-equivalence
+# 27.8 KB; one state at a time they were 21.9 and 9.5 KB. Each bound is that peak plus 8 KB, so a block of 16
+# (44 and 42 KB) fails it, and so does a sweep of all the states at once (275 KB and 1.2 MB).
+@pytest.mark.parametrize("check, bound", [(verify.check_born_rule, 37_600),
+                                          (verify.check_photonic_equivalence, 35_800)])
+def test_route_checks_hold_one_block_of_states_at_a_time(check, bound):
+    assert _lowest_heap_peak(check) <= bound
