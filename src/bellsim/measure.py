@@ -354,15 +354,26 @@ class FloorRule(NamedTuple):
 # largest call of perfbench mc-throughput (2000-trial runs; 2 cores, Python
 # 3.11.7, numpy 2.4.6) peaks at 17.6 KB at 64, 128 and 192 alike and at
 # 19.7 KB at 256: 192 is the largest of these that adds nothing to the peak.
+# Runs of more than TREE_LONG_RUN trials take chunks of TREE_LONG_CHUNK, which
+# spreads a chunk's 30-40 us of set-up over more trials: sampling 1e4-1e6
+# trials takes 62-77 ns per trial at 512 against 93-145 ns at 192 (43-53 ns
+# at 1024). 512 is the largest chunk that keeps the heap peak of bellsim
+# verify, whose born-rule group samples 2e4 trials: 47.6 KB at 512, 48.1 KB
+# at 192, 51.0 KB at 768, 59.0 KB at 1024 (BENCH_32.json). 2000 keeps the
+# short chunks, and their peak, for runs of up to 2000 trials, the size of
+# perfbench mc-throughput's runs.
 TREE_CHUNK = 192
+TREE_LONG_RUN, TREE_LONG_CHUNK = 2000, 512
 # Runs of fewer trials are walked trial by trial (OutcomeTree.walk): a walked
 # trial costs 6-12 us, a run's first chunk 60-200 us whatever its size. Summed
 # over the four schemes, cli._run_trials is cheaper walked up to 8 trials,
 # within 2 % either way at 9 and cheaper chunked from 10 (photonic crosses
 # near 7, the others near 9-10; 2 cores, Python 3.11.7, numpy 2.4.6; the
 # sweeps are in BENCH_16.json). With the chunks' scalar operands prebuilt the
-# sum crosses near 7 (BENCH_19.json); the constant stays until a change that
-# re-measures small runs moves it.
+# sum crosses near 7 (BENCH_19.json), and between 7 and 8 with the long
+# chunks and Haar blocks (two sweeps, BENCH_32.json); the constant stays
+# until alternating perfbench small-runs pairs show a smaller one worse on
+# no metric.
 TREE_WALK = 9
 
 
@@ -400,7 +411,8 @@ class OutcomeTree:
         """Leaf histogram of ``trials`` runs; trial t draws from ``RngStream(seed).substream(t)``.
 
         Fewer than :data:`TREE_WALK` trials are walked one by one; more are
-        replayed in chunks of :data:`TREE_CHUNK`.
+        replayed in chunks of :data:`TREE_CHUNK`, or of :data:`TREE_LONG_CHUNK`
+        in runs of more than :data:`TREE_LONG_RUN` trials.
         """
         root = RngStream(seed)
         if trials < TREE_WALK:
@@ -416,9 +428,10 @@ class OutcomeTree:
         Each chunk works in the same three words per trial and the same views of them
         (:class:`~bellsim.measure._ChunkWork`): the substream keys, the draw word and a scratch word.
         """
-        work = _ChunkWork.of(*np.empty((3, min(TREE_CHUNK, trials)), np.uint64))
+        size = TREE_CHUNK if trials <= TREE_LONG_RUN else TREE_LONG_CHUNK
+        work = _ChunkWork.of(*np.empty((3, min(size, trials)), np.uint64))
         leaves = np.zeros(self.labels.size, dtype=np.int64)
-        for start in range(0, trials, TREE_CHUNK):
+        for start in range(0, trials, size):
             if trials - start < work.keys.size:  # the last chunk is short
                 work = work.head(trials - start)
             leaves += np.bincount(self._chunk(root, start, work), minlength=leaves.size)

@@ -237,12 +237,26 @@ def states_equal(a: StateVector, b: StateVector, atol: float = ATOL, up_to_phase
     return bool((np.abs(a.amplitudes - b.amplitudes) <= atol + 1e-5 * np.abs(b.amplitudes)).all())
 
 
-def haar_random_state(n_qubits: int, gen: np.random.Generator) -> StateVector:
-    """Haar-uniform pure state via normalized complex Gaussian amplitudes."""
+def haar_random_states(n_qubits: int, gen: np.random.Generator, count: int) -> list[StateVector]:
+    """``count`` Haar-uniform pure states via normalized complex Gaussian amplitudes.
+
+    The same states, bit for bit, that ``count`` calls of :func:`haar_random_state` draw, and ``gen`` ends at
+    the same position. Raises ``ValueError("state not normalized")`` if a norm is off (NaN included).
+    """
     dim = 1 << n_qubits
-    amps = np.empty(dim, dtype=complex)
-    # dim normals for the real parts, then dim for the imaginary parts
-    amps.view(float).reshape(dim, 2).T[...] = gen.standard_normal((2, dim))
-    # the expression np.linalg.norm evaluates for a complex vector
-    amps /= np.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
-    return StateVector(n_qubits, amps)
+    amps = np.empty((count, dim), dtype=complex)
+    # per state, dim normals for the real parts, then dim for the imaginary parts
+    amps.view(float).reshape(count, dim, 2).transpose(0, 2, 1)[...] = gen.standard_normal((count, 2, dim))
+    for row in amps:
+        # the expression np.linalg.norm evaluates for a complex vector, row by row: a batched norm rounds otherwise
+        row /= np.sqrt(row.real.dot(row.real) + row.imag.dot(row.imag))
+    # StateVector's check, once for the block; negated so that a NaN norm fails too
+    if not abs(np.square(amps.view(float)).sum(axis=1) - 1.0).max() <= ATOL:
+        raise ValueError("state not normalized")
+    # each state owns its amplitudes: a row view would hold the block and its header for as long as the state
+    return [_wrap(n_qubits, row.copy()) for row in amps]
+
+
+def haar_random_state(n_qubits: int, gen: np.random.Generator) -> StateVector:
+    """Haar-uniform pure state via normalized complex Gaussian amplitudes: one of :func:`haar_random_states`."""
+    return haar_random_states(n_qubits, gen, 1)[0]

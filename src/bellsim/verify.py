@@ -10,12 +10,18 @@ runs them smaller: at criteria 2 and 6's sizes (1e5 sampled trials, 600
 traced runs) they would make the sweep about two thirds slower.
 ``check_born_rule`` and ``check_photonic_equivalence`` hand the analytic
 routes, which take a stack of states, ``_BLOCK`` Haar states at a time.
+Every check draws its consecutive Haar 2-qubit states ``_BLOCK`` at a time
+(:func:`~bellsim.qstate.haar_random_states`): the same states, in the same
+order, as one draw per state. ``run_verification`` never raises: a group
+that raises anything but its own failure fails, naming the exception.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import os
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +62,7 @@ from .qstate import (
     computational_state,
     fidelity,
     haar_random_state,
+    haar_random_states,
     phase_canonical,
     states_equal,
     tensor,
@@ -111,17 +118,24 @@ def _haar_unitary(rng: np.random.Generator) -> np.ndarray:
 # within 16 u = 2**-49. Worst over 5000 Haar states under the default, Haswell and Prescott BLAS kernels and
 # without AVX2/AVX-512: 7.8e-16 (a route against |c_i|^2), 1.0e-15 (photonic against (a)), 7.9e-17 (block orders).
 _ROUTE_BOUND, _BUILD_BOUND = 2.0**-47, 2.0**-49
-# states per route call in born-rule and photonic-equivalence, picked by a sweep of verify's time and heap
+# states per route call in born-rule and photonic-equivalence, and per Haar draw, picked by a sweep of verify's
+# time and heap
 _BLOCK = 10
 
 
+def _haar_cases(rng: np.random.Generator, cases: int):
+    """The next ``cases`` Haar 2-qubit states of ``rng``, in order, drawn ``_BLOCK`` at a time."""
+    for start in range(0, cases, _BLOCK):
+        yield from haar_random_states(2, rng, min(_BLOCK, cases - start))
+
+
 def _check_blocks(rng: np.random.Generator, cases: int, deviations, detail: str, schemes=()) -> None:
-    """Check ``cases`` Haar states from ``rng``, drawn one at a time, by ``deviations(states, amps)`` of each block,
+    """Check ``cases`` Haar states from ``rng`` by ``deviations(states, amps)`` of each block of ``_BLOCK``,
     ``(n,)`` or ``(n, schemes)``: the first over ``_ROUTE_BOUND`` or NaN, by case then scheme, fails as if alone.
     """
     buffer = np.empty((_BLOCK, 4), dtype=complex)
     for start in range(0, cases, _BLOCK):
-        states = [haar_random_state(2, rng) for _ in range(min(_BLOCK, cases - start))]
+        states = haar_random_states(2, rng, min(_BLOCK, cases - start))
         for row, s in zip(buffer, states):
             row[...] = s.amplitudes
         found = deviations(states, buffer[: len(states)])
@@ -158,7 +172,7 @@ def check_state_core():
         drift = abs(math.sqrt(np.vdot(out, out).real) - 1.0)
         _check(drift <= 1e-12, "unitary broke the norm", case=case, drift=drift)
     for case in range(50):
-        a, b, c = (haar_random_state(1, rng) for _ in range(3))
+        a, b, c = haar_random_states(1, rng, 3)
         left = tensor(tensor(a, b), c)
         right = tensor(a, tensor(b, c))
         delta = float(np.abs(left.amplitudes - right.amplitudes).max())
@@ -167,8 +181,7 @@ def check_state_core():
 
 def check_bell_roundtrip():
     rng = np.random.default_rng(2027)
-    for case in range(200):
-        s = haar_random_state(2, rng)
+    for case, s in enumerate(_haar_cases(rng, 200)):
         coeffs = to_bell(s)
         total = sum(abs(x) ** 2 for x in coeffs.as_tuple())
         _check(abs(total - 1.0) <= 1e-12, "coefficients not normalized", case=case, total=total)
@@ -229,7 +242,7 @@ def check_measurement_families():
     equal <psi|E_m|psi>, and each local weight ||M_(mu,nu) psi||^2.
     """
     rng = np.random.default_rng(2033)
-    states = [haar_random_state(2, rng).amplitudes for _ in range(4)]
+    states = [s.amplitudes for s in haar_random_states(2, rng, 4)]
     for (i, j), (strategy, entry) in itertools.product(itertools.product(AXES, repeat=2), STRATEGIES.items()):
         sp = spin_product(i, j)
         where = {"observable": sp.name, "strategy": strategy}
@@ -262,8 +275,7 @@ def check_superposition_preservation() -> float:
     rng = np.random.default_rng(404)
     szz = spin_product("z", "z")
     plus_branches = 0
-    for case in range(60):
-        s = haar_random_state(2, rng)
+    for case, s in enumerate(_haar_cases(rng, 60)):
         c = to_bell(s)
         record, post = nonlocal_product_measurement(s, szz, RngStream(405).substream(case))
         projected = szz.projector(record.product_outcome) @ s.amplitudes
@@ -294,9 +306,11 @@ def check_bell_filter():
     """Scheme (b) leaves the labelled Bell state; refiltering it changes nothing."""
     rng = np.random.default_rng(303)
     seen = set()
-    for case in range(100):
-        s = haar_random_state(2, rng)
+    for case, s in enumerate(_haar_cases(rng, 100)):
         result = run_scheme_b(s, RngStream(304).substream(case), record_trace=False)
+        # fidelity clamps to 1, so it passes a post-state a little too long: its norm is checked on its own
+        norm = float(np.vdot(result.post_state.amplitudes, result.post_state.amplitudes).real)
+        _check(abs(norm - 1.0) <= 1e-12, "filter output is not normalized", case=case, norm=norm)
         fid = fidelity(result.post_state, bell_state(result.label))
         _check(fid >= 1 - 1e-12, "filter output is not the labelled Bell state", case=case, fidelity=fid)
         again = run_scheme_b(result.post_state, RngStream(305).substream(case), record_trace=False)
@@ -309,8 +323,7 @@ def check_bell_filter():
 def check_resource_ledger_and_audit(seed=2030, runs=25, streams=(525, 526, 527)):
     """Scheme (a) spends exactly 1 ebit, (b) 2, fig1 none; only fig1 fails the LOCC audit."""
     rng = np.random.default_rng(seed)
-    for case in range(runs):
-        s = haar_random_state(2, rng)
+    for case, s in enumerate(_haar_cases(rng, runs)):
         for (runner, ebits, locc), stream in zip(
             ((run_scheme_a, 1, True), (run_scheme_b, 2, True), (run_fig1, 0, False)), streams
         ):
@@ -387,8 +400,7 @@ def check_photonic_equivalence() -> StateVector:
         for pa, pb in itertools.product(range(4), repeat=2)
     }
     _check(labels == set(_LABELS), "port pairs do not cover the four labels")
-    for case in range(20):
-        s = haar_random_state(2, rng)
+    for case, s in enumerate(_haar_cases(rng, 20)):
         ab = build_photonic_run(s, block_order=(REGISTER_A, REGISTER_B))
         ba = build_photonic_run(s, block_order=(REGISTER_B, REGISTER_A))
         delta = float(np.abs(ab.amplitudes - ba.amplitudes).max())
@@ -414,13 +426,22 @@ GROUPS = (
 
 
 def run_verification() -> list[GroupResult]:
-    """Run every invariant group; never raises, failures become results."""
+    """Run every invariant group; never raises, failures become results.
+
+    A group that raises anything but its own failure fails too: its counterexample names the exception and
+    the innermost frame it was raised in.
+    """
     results = []
     for name, group in GROUPS:
         try:
             group()
         except _Failure as failure:
             results.append(GroupResult(name, False, failure.detail, dict(failure.counterexample, group=name)))
+        except Exception as error:  # the sweep reports every group, whatever one of them raises
+            frame = traceback.extract_tb(error.__traceback__)[-1]
+            where = f"{frame.name} ({os.path.basename(frame.filename)}:{frame.lineno})"
+            results.append(GroupResult(name, False, f"raised {type(error).__name__}",
+                                       {"exception": repr(error), "raised_in": where, "group": name}))
         else:
             results.append(GroupResult(name, True, "", None))
     return results

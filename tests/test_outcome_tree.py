@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellsim import cli, photonic
+from bellsim import cli, measure, photonic
 from bellsim.bellcore import BellCoefficients, BellLabel, bell_state, classify, from_bell, spin_product
 from bellsim.measure import (
     _GOLDEN,
@@ -29,6 +29,8 @@ from bellsim.measure import (
     LOCAL,
     PROB_FLOOR,
     TREE_CHUNK,
+    TREE_LONG_CHUNK,
+    TREE_LONG_RUN,
     TREE_WALK,
     FloorRule,
     OutcomeTree,
@@ -128,6 +130,38 @@ def test_walk_matches_the_chunks(s, scheme, trials, seed):
         leaves[walked.walk(root.substream(t))] += 1
     assert chunked._chunks(root, trials).tolist() == leaves.tolist()
     assert walked.sample(trials, seed).tolist() == leaves.tolist()  # on either side of TREE_WALK
+
+
+# chunk sizes: one trial, an odd size, and the two the rule picks
+CHUNKS = st.sampled_from([1, 7, TREE_CHUNK, TREE_LONG_CHUNK])
+NEVER = 2**63
+
+
+@given(
+    s=STATES, scheme=st.sampled_from(list(SCHEMES)), seed=SEEDS,
+    trials=st.one_of(st.sampled_from([1, 8, 9, 10, 300, 301, 511, 512, 513, 1027]), st.integers(1, 1100)),
+    chunk=CHUNKS, long_chunk=CHUNKS, long_run=st.sampled_from([0, 300, TREE_LONG_RUN]),
+    walk=st.sampled_from([0, TREE_WALK, NEVER]),
+)
+@settings(max_examples=100, deadline=None)
+@example(s=_spec((0, 2, 1, 3), np.pi / 4, 0.0, True), scheme="fig1", seed=7, trials=TREE_LONG_RUN + 1,
+         chunk=TREE_CHUNK, long_chunk=TREE_LONG_CHUNK, long_run=TREE_LONG_RUN, walk=TREE_WALK)
+@example(s=_spec((0, 1, 2, 3), 0.0, 2 * PROB_FLOOR, False), scheme="scheme_b", seed=2**64 - 1,
+         trials=4 * TREE_LONG_CHUNK + 3, chunk=TREE_CHUNK, long_chunk=TREE_LONG_CHUNK, long_run=TREE_LONG_RUN,
+         walk=TREE_WALK)
+def test_leaves_do_not_depend_on_the_chunk_sizes_or_the_walk(s, scheme, seed, trials, chunk, long_chunk, long_run,
+                                                             walk):
+    """A run's leaf histogram is its trials walked one by one, whatever the chunk sizes and thresholds are."""
+    walked = OutcomeTree(s, SCHEMES[scheme].tree)
+    root = RngStream(seed)
+    leaves = np.zeros(walked.labels.shape, np.int64)
+    for t in range(trials):
+        leaves[walked.walk(root.substream(t))] += 1
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in (("TREE_CHUNK", chunk), ("TREE_LONG_CHUNK", long_chunk), ("TREE_LONG_RUN", long_run),
+                            ("TREE_WALK", walk)):
+            patch.setattr(measure, name, value)
+        assert OutcomeTree(s, SCHEMES[scheme].tree).sample(trials, seed).tolist() == leaves.tolist()
 
 
 def _pick_law(rule, row):
@@ -296,6 +330,38 @@ def test_sampling_memory_does_not_grow_with_trials(scheme):
     # the lower of two: the first traced call after the warm-up reads a few hundred bytes high
     one_chunk = min(_heap_peak(lambda: tree.sample(TREE_CHUNK, 5)) for _ in range(2))
     assert _heap_peak(lambda: tree.sample(many, 5)) <= one_chunk + 512
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_long_run_memory_does_not_grow_with_trials(scheme):
+    """A long run's work buffers are a long chunk's: twenty long chunks and a short one peak no higher than the
+    shortest long run, three long chunks and a short one."""
+    tree = _tree(scheme)
+    many = 20 * TREE_LONG_CHUNK + 3
+    tree.sample(many, 5)  # builds every second stage a trial reaches
+    gc.collect()
+    # the lower of two: the first traced call after the warm-up reads a few hundred bytes high
+    first_long = min(_heap_peak(lambda: tree.sample(TREE_LONG_RUN + 1, 5)) for _ in range(2))
+    assert _heap_peak(lambda: tree.sample(many, 5)) <= first_long + 512
+
+
+@pytest.mark.parametrize("trials, size", [
+    (TREE_WALK, TREE_WALK),  # a run shorter than a chunk: buffers of its own length
+    (TREE_LONG_RUN, TREE_CHUNK),  # the longest run that keeps the short chunks, as perfbench's 2000-trial runs do
+    (TREE_LONG_RUN + 1, TREE_LONG_CHUNK),
+])
+def test_runs_longer_than_tree_long_run_take_long_chunks(monkeypatch, trials, size):
+    sizes = []
+
+    class Spy(_ChunkWork):
+        @classmethod
+        def of(cls, keys, word, scratch):
+            sizes.append(keys.size)
+            return _ChunkWork.of(keys, word, scratch)
+
+    monkeypatch.setattr(measure, "_ChunkWork", Spy)
+    _tree("scheme_b").sample(trials, 5)
+    assert sizes == [size]
 
 
 def _tree(scheme, rng_seed=11):

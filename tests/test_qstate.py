@@ -16,6 +16,7 @@ from bellsim.qstate import (
     computational_state,
     fidelity,
     haar_random_state,
+    haar_random_states,
     make_state,
     phase_canonical,
     states_equal,
@@ -312,3 +313,29 @@ def test_haar_random_state_matches_reference_bit_for_bit(n_qubits, seed):
         got = haar_random_state(n_qubits, gen).amplitudes
         assert got.tobytes() == _haar_random_state_reference(n_qubits, reference_gen).amplitudes.tobytes()
     assert gen.bit_generator.state == reference_gen.bit_generator.state
+
+
+@given(n_qubits=st.integers(1, 3), count=st.integers(1, 17), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=100, deadline=None)
+def test_haar_random_states_are_one_state_draws_bit_for_bit(n_qubits, count, seed):
+    gen, one_gen, reference_gen = (np.random.default_rng(seed) for _ in range(3))
+    block = haar_random_states(n_qubits, gen, count)
+    assert len(block) == count
+    for s in block:
+        assert s.n_qubits == n_qubits and not s.amplitudes.flags.writeable
+        assert s.amplitudes.tobytes() == haar_random_state(n_qubits, one_gen).amplitudes.tobytes()
+        assert s.amplitudes.tobytes() == _haar_random_state_reference(n_qubits, reference_gen).amplitudes.tobytes()
+    assert gen.bit_generator.state == one_gen.bit_generator.state == reference_gen.bit_generator.state
+
+
+@pytest.mark.parametrize("count, bad", [(1, 0), (5, 0), (5, 4)])
+def test_haar_random_states_reject_a_nan_norm(count, bad):
+    """The block's norm check is StateVector's: one NaN draw in any state of the block fails it."""
+    class NanDraw:
+        def standard_normal(self, shape):
+            normals = np.random.default_rng(0).standard_normal(shape)
+            normals[bad, 1, 0] = np.nan  # the first imaginary part of state ``bad``
+            return normals
+
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="state not normalized"):  # NaN / NaN
+        haar_random_states(2, NanDraw(), count)

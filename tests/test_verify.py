@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bellsim import photonic, verify
+from bellsim import cli, measure, photonic, qstate, verify
 from bellsim.bellcore import BellLabel, bell_state, to_bell
 from bellsim.protocols import SCHEMES, analytic_label_distribution
 from bellsim.qstate import haar_random_state
@@ -65,12 +65,42 @@ def test_superposition_check_needs_ten_s_zz_plus_branches(monkeypatch, plus):
     # its inputs as Bell states: ``plus`` of Phi+, which always reads S_zz = +1, then Psi+, which reads -1
     phi, psi = bell_state(BellLabel.PHI_PLUS), bell_state(BellLabel.PSI_PLUS)
     inputs = itertools.chain(itertools.repeat(phi, plus), itertools.repeat(psi))
-    monkeypatch.setattr(verify, "haar_random_state", lambda n_qubits, rng: next(inputs))
+    monkeypatch.setattr(verify, "haar_random_states", lambda n_qubits, rng, count: [next(inputs) for _ in range(count)])
     if plus < 10:
         with pytest.raises(verify._Failure, match="too few S_zz"):
             verify.check_superposition_preservation()
     else:
         verify.check_superposition_preservation()
+
+
+def test_a_group_that_raises_fails_and_the_sweep_goes_on(monkeypatch, capsys):
+    """Post-states 1 + 1e-6 too long: two groups raise inside phase_canonical, and bell-filter's norm check fails.
+
+    Each becomes one FAIL line; nothing escapes the sweep, and the groups after them still run.
+    """
+    monkeypatch.setattr(measure, "_wrap", lambda n_qubits, amps: qstate._wrap(n_qubits, amps * (1 + 1e-6)))
+    failed = {result.name: result for result in verify.run_verification() if not result.passed}
+    assert set(failed) == {"superposition-preservation", "bell-filter", "fig1-mapping"}
+    for name in ("superposition-preservation", "fig1-mapping"):
+        assert failed[name].detail == "raised ValueError"
+        assert failed[name].counterexample["exception"] == "ValueError('state not normalized')"
+        assert failed[name].counterexample["group"] == name
+    assert failed["bell-filter"].detail == "filter output is not normalized"
+    assert failed["bell-filter"].counterexample["case"] == 0
+    assert cli.main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(verify.GROUPS)
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL superposition-preservation", "FAIL bell-filter", "FAIL fig1-mapping"]
+
+
+@pytest.mark.parametrize("cases", [1, verify._BLOCK, 25])
+def test_haar_cases_are_the_one_at_a_time_draws(cases):
+    """The checks' blocks of Haar states are the states, and leave the generator where, one draw per state would."""
+    rng, one_rng = np.random.default_rng(303), np.random.default_rng(303)
+    drawn = [s.amplitudes.tobytes() for s in verify._haar_cases(rng, cases)]
+    assert drawn == [haar_random_state(2, one_rng).amplitudes.tobytes() for _ in range(cases)]
+    assert rng.bit_generator.state == one_rng.bit_generator.state
 
 
 def test_superposition_check_returns_the_local_n_plus_frequency(monkeypatch):
