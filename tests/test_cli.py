@@ -24,6 +24,8 @@ from bellsim.measure import OutcomeTree
 from bellsim.protocols import SCHEMES, trace_to_jsonl
 from bellsim.qstate import states_equal
 
+from test_console import console_env
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -311,6 +313,9 @@ def test_csv_output_schema(capsys):
     keys = {row[0] for row in rows[1:]}
     assert {"analytic.p1", "empirical.counts.PhiPlus", "chi_square",
             "ledger.ebits_consumed", "config.state_coefficients.0"} <= keys
+    for scheme in SCHEMES:  # one trial, walked: the same keys, and scheme (b)'s fidelity
+        code, out, _ = run_cli(capsys, "run", "--scheme", scheme, "--state=random", "--trials=1", "--output=csv")
+        assert code == 0 and keys <= {row[0] for row in csv.reader(io.StringIO(out))}
 
 
 # csv.writer's inputs that need care: the four quoting characters, empty and
@@ -759,12 +764,9 @@ _CLOSED_STDOUT_ERROR = "error: stdout was closed before the output was written"
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_closed_stdout_exits_three_with_one_error_line(argv, unbuffered):
     """A reader gone before the output: exit 3 and one error line, no traceback, also from the flush at exit."""
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(cli.__file__)), env.get("PYTHONPATH", "")])
-    if unbuffered:  # print meets the closed pipe; buffered, only the final flush does
-        env["PYTHONUNBUFFERED"] = "1"
     argv = [sys.executable, "-m", "bellsim.cli", *argv]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+    # unbuffered, print meets the closed pipe; buffered, only the final flush does
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=console_env(unbuffered)) as proc:
         proc.stdout.close()  # before the child has imported numpy, so before it writes
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 3
@@ -827,13 +829,23 @@ def test_trials_cap(capsys):
     assert "capped" in err
 
 
-@pytest.mark.parametrize("trials,code", [(1_000_000, 0), (1_000_001, 2)])
-def test_trials_cap_boundary(capsys, trials, code):
+@pytest.mark.parametrize("trials,code,scheme,state,seed", [
+    pytest.param(1_000_000, 0, "fig1", "PhiPlus", None, id="1000000-0"),
+    pytest.param(1_000_001, 2, "fig1", "PhiPlus", None, id="1000001-2"),
+    # each scheme on random states, at the default seed and the last one, and next to the probability floor
+    *(pytest.param(1_000_000, 0, scheme, state, seed, id=f"{scheme}-{state}-{seed}") for scheme, state, seed in (
+        ("fig1", "random", None), ("scheme_a", "random", None), ("photonic", "random", None),
+        ("scheme_b", "random", 2**64 - 1), ("scheme_b", "1,0,1.5e-6,0", 3), ("photonic", "1,0,1.5e-6,2.5e-8", 3))),
+])
+def test_trials_cap_boundary(capsys, monkeypatch, trials, code, scheme, state, seed):
     """MAX_TRIALS itself runs; one more is refused."""
-    got, out, err = run_cli(capsys, "run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", str(trials))
+    monkeypatch.delenv("BELLSIM_SEED", raising=False)
+    seeded = () if seed is None else ("--seed", str(seed))
+    got, out, err = run_cli(capsys, "run", "--scheme", scheme, f"--state={state}", "--trials", str(trials), *seeded)
     assert got == code
     if code == 0:
-        assert report_of(out)["empirical"]["counts"]["PhiPlus"] == trials
+        counts = report_of(out)["empirical"]["counts"]
+        assert sum(counts.values()) == trials == counts.get(state, trials)  # a Bell input reads its own label
     else:
         assert out == "" and "capped" in err
 
@@ -853,11 +865,10 @@ def test_photonic_run_statistic_is_plausible(capsys):
 
 
 def test_verify_command_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify")
-    assert code == 0
-    lines = [line for line in out.splitlines() if line]
-    assert all(line.startswith("PASS") for line in lines)
-    assert len(lines) >= 12
+    """One PASS line per group of GROUPS, all 13, and nothing on stderr."""
+    code, out, err = run_cli(capsys, "verify")
+    assert (code, err, len(verify.GROUPS)) == (0, "", 13)
+    assert out.splitlines() == [f"PASS {name}" for name, _ in verify.GROUPS]
 
 
 def test_verify_command_reports_failure(capsys, monkeypatch):
@@ -997,8 +1008,10 @@ _GOOD = ("--scheme", "fig1", "--state", "PhiPlus")
     ["verify", "x"],
     ["ru", *_GOOD],
 ])
-def test_main_parses_an_argv_as_the_full_parser_does(argv):
+def test_main_parses_an_argv_as_the_full_parser_does(monkeypatch, argv):
     _assert_parsed_as_full_parser(argv)
+    monkeypatch.setattr(sys, "argv", ["bellsim", *argv])  # main(argv=None), as the console script calls it
+    assert _parsed(lambda _: cli._parse_args(None), argv) == _parsed(cli.build_parser().parse_args, argv)
 
 
 _RUN_VALUES = {  # each option's good values, then its bad ones

@@ -74,24 +74,33 @@ def test_superposition_check_needs_ten_s_zz_plus_branches(monkeypatch, plus):
 
 
 def test_a_group_that_raises_fails_and_the_sweep_goes_on(monkeypatch, capsys):
-    """Post-states 1 + 1e-6 too long: two groups raise inside phase_canonical, and bell-filter's norm check fails.
+    """A group that raises fails, naming the exception; post-states 1 + 1e-6 too long fail three norm checks.
 
     Each becomes one FAIL line; nothing escapes the sweep, and the groups after them still run.
     """
+    def broken(a, b):
+        raise ValueError("deliberately broken")
+
+    monkeypatch.setattr(verify, "commutator", broken)
     monkeypatch.setattr(measure, "_wrap", lambda n_qubits, amps: qstate._wrap(n_qubits, amps * (1 + 1e-6)))
-    failed = {result.name: result for result in verify.run_verification() if not result.passed}
-    assert set(failed) == {"superposition-preservation", "bell-filter", "fig1-mapping"}
-    for name in ("superposition-preservation", "fig1-mapping"):
-        assert failed[name].detail == "raised ValueError"
-        assert failed[name].counterexample["exception"] == "ValueError('state not normalized')"
-        assert failed[name].counterexample["group"] == name
-    assert failed["bell-filter"].detail == "filter output is not normalized"
-    assert failed["bell-filter"].counterexample["case"] == 0
+    failed = {result.name: (result.detail, result.counterexample)
+              for result in verify.run_verification() if not result.passed}
+    raised_in = f"broken (test_verify.py:{broken.__code__.co_firstlineno + 1})"
+    norm = pytest.approx((1 + 1e-6) ** 2, abs=1e-15)  # the squared norm
+    assert failed == {
+        "spin-commutators": ("raised ValueError", {
+            "exception": "ValueError('deliberately broken')", "raised_in": raised_in, "group": "spin-commutators"}),
+        "superposition-preservation": ("post-state is not normalized", {
+            "case": 0, "norm": norm, "group": "superposition-preservation"}),
+        "bell-filter": ("filter output is not normalized", {"case": 0, "norm": norm, "group": "bell-filter"}),
+        "fig1-mapping": ("fig1 post-state is not normalized", {
+            "label": "PhiPlus", "leaf": (0, 0), "norm": norm, "group": "fig1-mapping"}),
+    }
     assert cli.main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(verify.GROUPS)
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
-        "FAIL superposition-preservation", "FAIL bell-filter", "FAIL fig1-mapping"]
+        "FAIL spin-commutators", "FAIL superposition-preservation", "FAIL bell-filter", "FAIL fig1-mapping"]
 
 
 @pytest.mark.parametrize("cases", [1, verify._BLOCK, 25])
