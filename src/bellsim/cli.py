@@ -23,7 +23,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -43,16 +42,6 @@ from .qstate import fidelity, haar_random_state, make_state
 MAX_TRIALS = 1_000_000
 
 _NAMED_STATES = {label.value: label for label in BellLabel}
-
-
-@dataclass
-class RunConfig:
-    scheme: str
-    state: str
-    trials: int
-    seed: int
-    output: str = "json"
-    emit_trace: str | None = None
 
 
 _CSV_QUOTED = re.compile(r'[,"\r\n]')
@@ -126,17 +115,16 @@ def _trace_lines(stages, leaf) -> tuple[bytes, ...]:
     return tuple([(trace_to_jsonl(stage) + "\n").encode() for stage in stages(leaf)])
 
 
-def _run_trials(state, config: RunConfig, trace=None):
-    """Sample all trials on one tree; for a Bell filter, the worst filter fidelity over the leaves reached.
+def _run_trials(state, scheme, trials: int, seed: int, trace=None):
+    """Sample all trials on one tree of the row ``scheme``; for a Bell filter, the worst fidelity of the leaves reached.
 
     With ``trace``, an unbuffered binary file, also write trial 0's trace into it: the lines this process
     keeps for that leaf of the scheme's row, rendered on the leaf's first trace.
     """
-    scheme = get_scheme(config.scheme)
     tree = OutcomeTree(state, scheme.tree)
-    leaves = tree.sample(config.trials, config.seed)
+    leaves = tree.sample(trials, seed)
     if trace is not None:
-        for lines in _trace_lines(scheme.stages, tree.walk(RngStream(config.seed).substream(0))):
+        for lines in _trace_lines(scheme.stages, tree.walk(RngStream(seed).substream(0))):
             _write_all(trace, lines)
     if not scheme.filters:
         return tree.label_counts(leaves), None
@@ -219,40 +207,49 @@ def _emit_report(report: dict, output: str) -> None:
     sys.stdout.write("key,value\r\n" + "".join(lines))
 
 
-def cmd_run(config: RunConfig) -> int:
-    """Execute one Monte Carlo run and print the report. Exit status 0/2/3."""
-    if config.trials < 1:
+def cmd_run(args: argparse.Namespace) -> int:
+    """Execute the run the parsed ``run`` options ``args`` describe and print the report. Exit status 0/2/3.
+
+    The seed is ``--seed``, else ``$BELLSIM_SEED``, else 0.
+    """
+    try:
+        seed = int(os.environ.get("BELLSIM_SEED", 0)) if args.seed is None else args.seed
+    except ValueError:
+        print("error: BELLSIM_SEED must be an integer", file=sys.stderr)
+        return 2
+    trials = args.trials
+    if trials < 1:
         print("error: trials must be >= 1", file=sys.stderr)
         return 2
-    if config.trials > MAX_TRIALS:
+    if trials > MAX_TRIALS:
         print(f"error: trials capped at {MAX_TRIALS} to keep runs short", file=sys.stderr)
         return 2
     try:
-        RngStream(config.seed)  # the library owns the seed range
-        scheme = get_scheme(config.scheme)
+        RngStream(seed)  # the library owns the seed range
+        scheme = get_scheme(args.scheme)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.emit_trace is not None and scheme.stages is None:
+    if args.emit_trace is not None and scheme.stages is None:
         print("error: --emit-trace is only available for the protocol schemes", file=sys.stderr)
         return 2
     try:
-        state, renormalized, coefficients = resolve_state(config.state, config.seed)
+        state, renormalized, coefficients = resolve_state(args.state, seed)
     except ValueError as exc:
         print(f"error: invalid state spec: {exc}", file=sys.stderr)
         return 2
     try:  # the OS decides which paths take the trace; opened, and so truncated, before anything is sampled
-        trace = None if config.emit_trace is None else open(config.emit_trace, "wb", buffering=0)
+        trace = None if args.emit_trace is None else open(args.emit_trace, "wb", buffering=0)
     except OSError:
-        print(f"error: --emit-trace path is not writable: {config.emit_trace}", file=sys.stderr)
+        print(f"error: --emit-trace path is not writable: {args.emit_trace}", file=sys.stderr)
         return 2
     if renormalized:
         print("warning: state coefficients were renormalized", file=sys.stderr)
 
     started = time.perf_counter()
     try:
-        analytic = analytic_label_distribution(state, config.scheme)
-        counts, worst_fidelity = _run_trials(state, config, trace)
+        analytic = analytic_label_distribution(state, args.scheme)
+        counts, worst_fidelity = _run_trials(state, scheme, trials, seed, trace)
     except Exception as exc:  # invariant breach inside the run
         print(f"error: run failed: {exc}", file=sys.stderr)
         return 3
@@ -264,27 +261,27 @@ def cmd_run(config: RunConfig) -> int:
     per_run = scheme.ebits_per_run
     report = {
         "config": {
-            "scheme": config.scheme,
-            "state": config.state,
+            "scheme": args.scheme,
+            "state": args.state,
             "state_coefficients": [_format_complex(c) for c in coefficients],
             "renormalized": renormalized,
-            "trials": config.trials,
-            "seed": config.seed,
-            "output": config.output,
-            "emit_trace": config.emit_trace,
+            "trials": trials,
+            "seed": seed,
+            "output": args.output,
+            "emit_trace": args.emit_trace,
         },
         "analytic": {f"p{k + 1}": float(analytic[k]) for k in range(4)},
         "empirical": {"counts": {label.value: counts[label] for label in BellLabel}},
-        "chi_square": _chi_square(counts, analytic, config.trials),
+        "chi_square": _chi_square(counts, analytic, trials),
         "ledger": {
-            "ebits_granted": per_run * config.trials,
-            "ebits_consumed": per_run * config.trials,
+            "ebits_granted": per_run * trials,
+            "ebits_consumed": per_run * trials,
         },
         "duration_ms": duration_ms,
     }
     if worst_fidelity is not None:
         report["fidelity"] = worst_fidelity
-    _emit_report(report, config.output)
+    _emit_report(report, args.output)
     return 0
 
 
@@ -304,13 +301,6 @@ def cmd_verify() -> int:
             print(f"FAIL {result.name}: {result.detail}")
             print(json.dumps(_finite(result.counterexample), sort_keys=True, default=str), file=sys.stderr)
     return 0 if all(result.passed for result in results) else 1
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("BELLSIM_SEED")
-    if raw is None:
-        return 0
-    return int(raw)
 
 
 def _build_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
@@ -373,7 +363,7 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        code = cmd_verify() if args.command == "verify" else _run(args)
+        code = cmd_verify() if args.command == "verify" else cmd_run(args)
         sys.stdout.flush()  # a reader that has gone shows here, not in the flush at interpreter exit
     except BrokenPipeError:
         print("error: stdout was closed before the output was written", file=sys.stderr)
@@ -381,23 +371,6 @@ def main(argv=None) -> int:
             os.dup2(devnull.fileno(), sys.stdout.fileno())  # the unwritten rest goes nowhere at exit
         return 3
     return code
-
-
-def _run(args: argparse.Namespace) -> int:
-    try:
-        seed = args.seed if args.seed is not None else _default_seed()
-    except ValueError:
-        print("error: BELLSIM_SEED must be an integer", file=sys.stderr)
-        return 2
-    config = RunConfig(
-        scheme=args.scheme,
-        state=args.state,
-        trials=args.trials,
-        seed=seed,
-        output=args.output,
-        emit_trace=args.emit_trace,
-    )
-    return cmd_run(config)
 
 
 if __name__ == "__main__":

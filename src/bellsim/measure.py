@@ -134,13 +134,12 @@ class _ChunkWork(NamedTuple):
 
 
 def _keyed_draws(work: _ChunkWork, counter: int) -> np.ndarray:
-    """Draw ``counter`` (1-based) of the streams whose keys ``work.keys`` holds, as ``uniform()`` makes it.
+    """Draw ``counter`` (1 or 2) of the streams whose keys ``work.keys`` holds, as ``uniform()`` makes it.
 
     Written into ``work.word`` and returned as its ``float64`` view ``work.u``.
     """
     keys, word, u, scratch = work[:4]
-    step = _STEPS[counter] if counter in _STEPS else np.array(counter * _GOLDEN & _MASK64, np.uint64)
-    np.add(keys, step, out=word)
+    np.add(keys, _STEPS[counter], out=word)
     _mix64_array(word, scratch)
     word >>= _SHIFT_11
     np.copyto(u, word)  # elementwise in place: each 53-bit word converts exactly

@@ -11,10 +11,13 @@ traced runs) born-rule takes 12 ms instead of 5 and the ledger group 52
 instead of 7, which would take the sweep from about 54 to 106 ms, nearly
 twice as long (in-process medians of 7; 2 cores, Python 3.11, numpy 2.4).
 ``check_born_rule`` and ``check_photonic_equivalence`` hand the analytic
-routes, which take a stack of states, ``_BLOCK`` Haar states at a time.
-Every check draws its consecutive Haar 2-qubit states ``_BLOCK`` at a time
-(:func:`~bellsim.qstate.haar_random_states`): the same states, in the same
-order, as one draw per state. ``run_verification`` never raises: a group
+routes, which take a stack of states, each block of ``_BLOCK`` Haar states
+as it is drawn: the ``(n, 4)`` amplitude block itself, with no copy per row
+(born-rule's ``to_bell`` reference reads views of its rows). The other
+checks draw their consecutive Haar 2-qubit states ``_BLOCK`` at a time too
+(:func:`~bellsim.qstate.haar_random_states`, each state a copy of its row).
+Either way they are the same states, in the same order, as one draw per
+state. ``run_verification`` never raises: a group
 that raises anything but its own failure fails, naming the exception.
 """
 from __future__ import annotations
@@ -61,6 +64,8 @@ from .protocols import (
 from .qstate import (
     PAULIS,
     StateVector,
+    _haar_block,
+    _wrap,
     computational_state,
     fidelity,
     haar_random_state,
@@ -132,15 +137,11 @@ def _haar_cases(rng: np.random.Generator, cases: int):
 
 
 def _check_blocks(rng: np.random.Generator, cases: int, deviations, detail: str, schemes=()) -> None:
-    """Check ``cases`` Haar states from ``rng`` by ``deviations(states, amps)`` of each block of ``_BLOCK``,
+    """Check ``cases`` Haar states from ``rng`` by ``deviations(amps)`` of each block of ``_BLOCK`` as it is drawn,
     ``(n,)`` or ``(n, schemes)``: the first over ``_ROUTE_BOUND`` or NaN, by case then scheme, fails as if alone.
     """
-    buffer = np.empty((_BLOCK, 4), dtype=complex)
     for start in range(0, cases, _BLOCK):
-        states = haar_random_states(2, rng, min(_BLOCK, cases - start))
-        for row, s in zip(buffer, states):
-            row[...] = s.amplitudes
-        found = deviations(states, buffer[: len(states)])
+        found = deviations(_haar_block(2, rng, min(_BLOCK, cases - start)))
         over = np.argwhere(~(found <= _ROUTE_BOUND))
         if len(over):
             index = tuple(over[0])
@@ -370,8 +371,9 @@ def check_born_rule(seed=2031, cases=100, trials=20000, stream=529):
 
     The sampled state is the one drawn after the ``cases`` analytic ones.
     """
-    def deviations(states, amps):
-        reference = np.array([to_bell(s).probabilities() for s in states])
+    def deviations(amps):
+        # unchecked views of the rows, whose norms the draw checked: StateVector's check would cost more than a copy
+        reference = np.array([to_bell(_wrap(2, row)).probabilities() for row in amps])
         return np.array([np.abs(row.analytic(amps) - reference).max(axis=1) for row in SCHEMES.values()]).T
 
     rng = np.random.default_rng(seed)
@@ -397,7 +399,7 @@ def check_photonic_equivalence() -> StateVector:
     Returns the next Haar state of the check's generator, the input of
     criterion 7's sampled chi-square.
     """
-    def deviations(_, amps):
+    def deviations(amps):
         return np.abs(label_distributions(amps) - SCHEMES["scheme_a"].analytic(amps)).max(axis=1)
 
     rng = np.random.default_rng(707)

@@ -70,7 +70,9 @@ def test_run_rejects_bad_state_specs(capsys, bad):
 
 
 def test_cmd_run_rejects_unknown_scheme(capsys):
-    code = cli.cmd_run(cli.RunConfig(scheme="bogus", state="PhiPlus", trials=5, seed=0))
+    args = cli._parse_args(["run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", "5", "--seed", "0"])
+    args.scheme = "bogus"  # past the parser's choices
+    code = cli.cmd_run(args)
     assert code == 2
     assert "unknown scheme" in capsys.readouterr().err
 
@@ -473,23 +475,25 @@ def test_seed_defaults_to_zero(capsys, monkeypatch):
 
 
 def test_seed_falls_back_to_environment(capsys, monkeypatch):
-    monkeypatch.setenv("BELLSIM_SEED", "5")
-    _, out_env, _ = run_cli(capsys, "run", "--scheme", "scheme_a", "--state", "random", "--trials", "50")
-    monkeypatch.delenv("BELLSIM_SEED")
-    _, out_flag, _ = run_cli(
-        capsys, "run", "--scheme", "scheme_a", "--state", "random", "--trials", "50", "--seed", "5"
-    )
-    a, b = report_of(out_env), report_of(out_flag)
-    a.pop("duration_ms")
-    b.pop("duration_ms")
-    assert a == b
+    """Without --seed, BELLSIM_SEED=5 runs the --seed 5 run; with --seed 5, BELLSIM_SEED is not read, bad or not."""
+    argv = ("run", "--scheme", "scheme_a", "--state", "random", "--trials", "50")
+    monkeypatch.delenv("BELLSIM_SEED", raising=False)
+    expected = report_of(run_cli(capsys, *argv, "--seed", "5")[1])
+    expected.pop("duration_ms")
+    for env, flag in (("5", ()), ("not-a-number", ("--seed", "5"))):
+        monkeypatch.setenv("BELLSIM_SEED", env)
+        code, out, _ = run_cli(capsys, *argv, *flag)
+        report = report_of(out)
+        report.pop("duration_ms")
+        assert code == 0 and report == expected
 
 
 def test_bad_environment_seed(capsys, monkeypatch):
+    """A non-integer BELLSIM_SEED exits 2 before anything else is checked, also a trial count that exits 2."""
     monkeypatch.setenv("BELLSIM_SEED", "not-a-number")
-    code, _, err = run_cli(capsys, "run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", "5")
-    assert code == 2
-    assert "BELLSIM_SEED" in err
+    for trials in ("5", "0"):
+        got = run_cli(capsys, "run", "--scheme", "fig1", "--state", "PhiPlus", "--trials", trials)
+        assert got == (2, "", "error: BELLSIM_SEED must be an integer\n")
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])

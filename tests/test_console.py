@@ -17,14 +17,15 @@ from bellsim.protocols import ClassicalMessage, TraceEvent, locc_audit
 _ROOT = Path(__file__).resolve().parents[1]
 
 
-def console_env(unbuffered=False):
+def console_env(unbuffered=False, **extra):
     """The environment of every process a test starts: this checkout's ``src`` first on PYTHONPATH, warnings as
-    errors, and PYTHONUNBUFFERED only if ``unbuffered``."""
+    errors, PYTHONUNBUFFERED only if ``unbuffered``, and the ``extra`` variables."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_ROOT / "src"), env.get("PYTHONPATH")]))
     env["PYTHONWARNINGS"] = "error"
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    env.update(extra)
     return env
 
 
@@ -53,6 +54,19 @@ def test_in_process_calls_print_what_fresh_processes_print(capsys, tmp_path):
         _assert_fresh_process_agrees(capsys, argv, traced)
     info = cli._trace_lines.cache_info()
     assert (info.hits, info.misses) == (1, 2)  # the first scheme (b) call and the fig1 one rendered
+
+
+def test_a_fresh_process_takes_its_seed_from_the_environment(capsys, monkeypatch):
+    """A fresh process with BELLSIM_SEED=5 and no --seed prints what main prints for --seed 5."""
+    monkeypatch.delenv("BELLSIM_SEED", raising=False)
+    argv = ["run", "--scheme", "scheme_b", "--state", "random", "--trials", "200"]
+    assert cli.main([*argv, "--seed", "5"]) == 0
+    out, err = capsys.readouterr()
+    fresh = subprocess.run([sys.executable, "-m", "bellsim.cli", *argv], capture_output=True,
+                           env=console_env(BELLSIM_SEED="5"), timeout=60)
+    untimed = functools.partial(re.sub, r"^.*duration_ms.*\n", "", flags=re.M)
+    assert (fresh.returncode, untimed(fresh.stdout.decode()), fresh.stderr.decode()) == (0, untimed(out), err)
+    assert json.loads(out)["config"]["seed"] == 5
 
 
 @pytest.mark.parametrize("run, name, holds", [

@@ -381,7 +381,7 @@ def test_emitted_leaf_traces_match_pinned_digests(scheme, tmp_path):
         for seed in range(64):
             path, trials = tmp_path / f"{k}-{seed}.jsonl", 1 if seed % 2 else TREE_WALK
             with open(path, "wb", buffering=0) as trace:
-                cli._run_trials(s, cli.RunConfig(scheme, "-", trials, seed, emit_trace=str(path)), trace)
+                cli._run_trials(s, SCHEMES[scheme], trials, seed, trace)
             digest.update(path.read_bytes())
     assert digest.hexdigest()[:16] == TRACE_DIGESTS[scheme]
 

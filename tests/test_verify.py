@@ -105,11 +105,24 @@ def test_a_group_that_raises_fails_and_the_sweep_goes_on(monkeypatch, capsys):
 
 @pytest.mark.parametrize("cases", [1, verify._BLOCK, 25])
 def test_haar_cases_are_the_one_at_a_time_draws(cases):
-    """The checks' blocks of Haar states are the states, and leave the generator where, one draw per state would."""
-    rng, one_rng = np.random.default_rng(303), np.random.default_rng(303)
-    drawn = [s.amplitudes.tobytes() for s in verify._haar_cases(rng, cases)]
-    assert drawn == [haar_random_state(2, one_rng).amplitudes.tobytes() for _ in range(cases)]
-    assert rng.bit_generator.state == one_rng.bit_generator.state
+    """The checks' Haar blocks, as states or as the amplitude blocks the route checks take, hold the one-at-a-time
+    draws and leave the generator where those do."""
+    def route_check_draws(rng):
+        drawn = []
+
+        def deviations(amps):
+            drawn.extend(row.tobytes() for row in amps)
+            return np.zeros(len(amps))
+
+        verify._check_blocks(rng, cases, deviations, "not raised")
+        return drawn
+
+    one_rng = np.random.default_rng(303)
+    expected = [haar_random_state(2, one_rng).amplitudes.tobytes() for _ in range(cases)]
+    for draw in (lambda rng: [s.amplitudes.tobytes() for s in verify._haar_cases(rng, cases)], route_check_draws):
+        rng = np.random.default_rng(303)
+        assert draw(rng) == expected
+        assert rng.bit_generator.state == one_rng.bit_generator.state
 
 
 def test_superposition_check_returns_the_local_n_plus_frequency(monkeypatch):
