@@ -22,9 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .qstate import ATOL, PAULIS, StateVector, _require_two_qubits
-
-_SQRT2_INV = 1.0 / np.sqrt(2.0)
+from .qstate import _SQRT2_INV, ATOL, PAULIS, StateVector, _require_two_qubits
 
 
 class BellLabel(Enum):

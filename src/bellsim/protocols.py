@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bellcore import _LABELS, BellLabel, SpinProduct, classify, spin_product
+from .bellcore import _LABELS, BellLabel, SpinProduct, classify, outcome_pair, spin_product
 from .measure import (
     ALICE,
     BOB,
@@ -43,7 +43,7 @@ from .measure import (
     nonlocal_product_measurement,
 )
 from .qstate import CNOT, HADAMARD, ID2, StateVector, _require_two_qubits
-from . import bellcore, photonic
+from . import photonic
 
 # The qubits the LOCC audit lets each party touch: system qubits 0 (Alice) and 1 (Bob); meter qubits
 # 2 (Alice) and 3 (Bob), as measure.NONLOCAL_WIRES hands them out, reused per nonlocal stage.
@@ -401,11 +401,8 @@ def locc_audit(trace) -> AuditReport:
 # --- Outcome trees: the branches every untraced run of a scheme can take -------
 # Each builder returns (first-stage weights, child, labels) in the shape measure.OutcomeTree samples.
 
-# fig1 output bits [z_a][z_b] -> Bell label of the input
-_FIG1_LABELS = np.array([
-    [BellLabel.PHI_PLUS.index, BellLabel.PSI_PLUS.index],    # |++>, |+->
-    [BellLabel.PHI_MINUS.index, BellLabel.PSI_MINUS.index],  # |-+>, |-->
-])
+# fig1 readout bits [bit(z_A), bit(z_B)] -> Bell label of the input, classified as run_fig1 classifies its readouts
+_FIG1_LABELS = np.array([[classify(z_b, z_a).index for z_b in (1, -1)] for z_a in (1, -1)])
 _PRODUCTS = (1, -1, -1, 1)  # the S_ij outcome of readout index 2 * bit(z_A) + bit(z_B)
 _PRODUCT_LABELS = np.array([[classify(m, n).index for n in _PRODUCTS] for m in _PRODUCTS])
 
@@ -430,41 +427,16 @@ def fig1_unitary() -> np.ndarray:
     return _fig1_circuit(np.eye(4, dtype=complex))
 
 
-def scheme_a_povm() -> dict[tuple[int, int], np.ndarray]:
-    """The four analytic POVM elements E_mn of scheme (a), composed honestly.
-
-    E_mn = M_m^dag E_n M_m with M_m the S_zz eigenprojector (first stage
-    Kraus) and E_n the S_xx POVM element (second stage). Each equals the
-    rank-1 projector onto the Bell state classify(m, n).
-    """
-    return {
-        (m, n): _SZZ.projector(m).conj().T @ _SXX.projector(n) @ _SZZ.projector(m)
-        for m in (+1, -1)
-        for n in (+1, -1)
-    }
-
-
-def scheme_b_measurement_operators() -> dict[tuple[int, int], np.ndarray]:
-    """The composed measurement operators M_mn of the Bell filter."""
-    return {
-        (m, n): _SXX.projector(n) @ _SZZ.projector(m)
-        for m in (+1, -1)
-        for n in (+1, -1)
-    }
-
-
-def _by_label(family: dict) -> np.ndarray:
-    """A {(m, n): operator} family stacked in label order, read-only."""
-    stacked = np.array([family[bellcore.outcome_pair(label)] for label in _LABELS])
-    stacked.setflags(write=False)
-    return stacked
-
-
-# None of these depends on the state, so each is built once.
+# None of these depends on the state, so each is built once. The two spin-product families are stacked in label
+# order, (m, n) = outcome_pair(label): scheme (a)'s composed POVM E_mn = M_m^dag E_n M_m, with M_m the S_zz
+# eigenprojector (first-stage Kraus) and E_n the S_xx POVM element, and the Bell filter's measurement operators
+# M_mn = P_n(S_xx) P_m(S_zz). Each E_mn and each M_mn is the rank-1 projector onto the Bell state classify(m, n).
 _FIG1_UNITARY = fig1_unitary()
-_FIG1_UNITARY.setflags(write=False)
-_SCHEME_A_POVM = _by_label(scheme_a_povm())
-_SCHEME_B_OPS = _by_label(scheme_b_measurement_operators())
+_SCHEME_A_POVM = np.array([_SZZ.projector(m).conj().T @ _SXX.projector(n) @ _SZZ.projector(m)
+                           for m, n in map(outcome_pair, _LABELS)])
+_SCHEME_B_OPS = np.array([_SXX.projector(n) @ _SZZ.projector(m) for m, n in map(outcome_pair, _LABELS)])
+for _operator in (_FIG1_UNITARY, _SCHEME_A_POVM, _SCHEME_B_OPS):
+    _operator.setflags(write=False)
 
 
 # Each route maps (n, 4) amplitudes to (n, 4) label probabilities, row k bit for bit the route on state k alone:

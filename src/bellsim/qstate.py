@@ -237,10 +237,12 @@ def states_equal(a: StateVector, b: StateVector, atol: float = ATOL, up_to_phase
     return bool((np.abs(a.amplitudes - b.amplitudes) <= atol + 1e-5 * np.abs(b.amplitudes)).all())
 
 
-def _haar_block(n_qubits: int, gen: np.random.Generator, count: int) -> np.ndarray:
-    """The amplitudes of :func:`haar_random_states`, one normalized state per row of a ``(count, 2**n_qubits)`` block.
+def haar_random_states(n_qubits: int, gen: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` Haar-uniform pure states via normalized complex Gaussian amplitudes, one per row of a read-only
+    ``(count, 2**n_qubits)`` block.
 
-    Raises ``ValueError("state not normalized")`` if a norm is off (NaN included).
+    Row k is, bit for bit, the state that call k of :func:`haar_random_state` draws, and ``gen`` ends at the
+    same position. Raises ``ValueError("state not normalized")`` if a norm is off (NaN included).
     """
     dim = 1 << n_qubits
     amps = np.empty((count, dim), dtype=complex)
@@ -252,19 +254,13 @@ def _haar_block(n_qubits: int, gen: np.random.Generator, count: int) -> np.ndarr
     # StateVector's check, once for the block; negated so that a NaN norm fails too
     if not abs(np.square(amps.view(float)).sum(axis=1) - 1.0).max() <= ATOL:
         raise ValueError("state not normalized")
+    amps.setflags(write=False)
     return amps
 
 
-def haar_random_states(n_qubits: int, gen: np.random.Generator, count: int) -> list[StateVector]:
-    """``count`` Haar-uniform pure states via normalized complex Gaussian amplitudes.
-
-    The same states, bit for bit, that ``count`` calls of :func:`haar_random_state` draw, and ``gen`` ends at
-    the same position. Raises ``ValueError("state not normalized")`` if a norm is off (NaN included).
-    """
-    # each state owns its amplitudes: a row view would hold the block and its header for as long as the state
-    return [_wrap(n_qubits, row.copy()) for row in _haar_block(n_qubits, gen, count)]
-
-
 def haar_random_state(n_qubits: int, gen: np.random.Generator) -> StateVector:
-    """Haar-uniform pure state via normalized complex Gaussian amplitudes: one of :func:`haar_random_states`."""
-    return haar_random_states(n_qubits, gen, 1)[0]
+    """Haar-uniform pure state via normalized complex Gaussian amplitudes: the one row of :func:`haar_random_states`.
+
+    The state owns its amplitudes: a row view would hold the block and its header for as long as the state.
+    """
+    return _wrap(n_qubits, haar_random_states(n_qubits, gen, 1)[0].copy())

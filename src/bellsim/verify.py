@@ -3,21 +3,20 @@
 Each group re-checks a family of invariants from scratch (fresh random
 states, independently built oracle matrices) and reports the first
 counterexample it finds. ``tests/test_acceptance.py`` calls the same checks.
-Those of criteria 3, 4, 7 and 8 have one size: the criterion's seeds,
+Those of criteria 3, 4, 5, 7 and 8 have one size: the criterion's seeds,
 sample sizes and band. ``check_born_rule`` and
 ``check_resource_ledger_and_audit`` keep keyword arguments, and ``verify``
 runs them smaller: at criteria 2 and 6's sizes (1e5 sampled trials, 600
 traced runs) born-rule takes 12 ms instead of 5 and the ledger group 52
 instead of 7, which would take the sweep from about 54 to 106 ms, nearly
 twice as long (in-process medians of 7; 2 cores, Python 3.11, numpy 2.4).
-``check_born_rule`` and ``check_photonic_equivalence`` hand the analytic
-routes, which take a stack of states, each block of ``_BLOCK`` Haar states
-as it is drawn: the ``(n, 4)`` amplitude block itself, with no copy per row
-(born-rule's ``to_bell`` reference reads views of its rows). The other
-checks draw their consecutive Haar 2-qubit states ``_BLOCK`` at a time too
-(:func:`~bellsim.qstate.haar_random_states`, each state a copy of its row).
-Either way they are the same states, in the same order, as one draw per
-state. ``run_verification`` never raises: a group
+Haar states are drawn ``_BLOCK`` at a time, as the read-only amplitude
+blocks of :func:`~bellsim.qstate.haar_random_states`: the same states, in
+the same order, as one draw per state. ``check_born_rule`` and
+``check_photonic_equivalence`` hand each block of 2-qubit states, as it is
+drawn, to the analytic routes, which take a stack of states; the other
+checks read its rows as they are, wrapped without a copy where a check
+takes states. ``run_verification`` never raises: a group
 that raises anything but its own failure fails, naming the exception.
 """
 from __future__ import annotations
@@ -64,7 +63,6 @@ from .protocols import (
 from .qstate import (
     PAULIS,
     StateVector,
-    _haar_block,
     _wrap,
     computational_state,
     fidelity,
@@ -133,7 +131,7 @@ _BLOCK = 10
 def _haar_cases(rng: np.random.Generator, cases: int):
     """The next ``cases`` Haar 2-qubit states of ``rng``, in order, drawn ``_BLOCK`` at a time."""
     for start in range(0, cases, _BLOCK):
-        yield from haar_random_states(2, rng, min(_BLOCK, cases - start))
+        yield from (_wrap(2, row) for row in haar_random_states(2, rng, min(_BLOCK, cases - start)))
 
 
 def _check_blocks(rng: np.random.Generator, cases: int, deviations, detail: str, schemes=()) -> None:
@@ -141,7 +139,7 @@ def _check_blocks(rng: np.random.Generator, cases: int, deviations, detail: str,
     ``(n,)`` or ``(n, schemes)``: the first over ``_ROUTE_BOUND`` or NaN, by case then scheme, fails as if alone.
     """
     for start in range(0, cases, _BLOCK):
-        found = deviations(_haar_block(2, rng, min(_BLOCK, cases - start)))
+        found = deviations(haar_random_states(2, rng, min(_BLOCK, cases - start)))
         over = np.argwhere(~(found <= _ROUTE_BOUND))
         if len(over):
             index = tuple(over[0])
@@ -175,7 +173,7 @@ def check_state_core():
         drift = abs(math.sqrt(np.vdot(out, out).real) - 1.0)
         _check(drift <= 1e-12, "unitary broke the norm", case=case, drift=drift)
     for case in range(50):
-        a, b, c = haar_random_states(1, rng, 3)
+        a, b, c = (_wrap(1, row) for row in haar_random_states(1, rng, 3))
         left = tensor(tensor(a, b), c)
         right = tensor(a, tensor(b, c))
         delta = float(np.abs(left.amplitudes - right.amplitudes).max())
@@ -245,7 +243,7 @@ def check_measurement_families():
     equal <psi|E_m|psi>, and each local weight ||M_(mu,nu) psi||^2.
     """
     rng = np.random.default_rng(2033)
-    states = [s.amplitudes for s in haar_random_states(2, rng, 4)]
+    states = haar_random_states(2, rng, 4)
     for (i, j), (strategy, entry) in itertools.product(itertools.product(AXES, repeat=2), STRATEGIES.items()):
         sp = spin_product(i, j)
         where = {"observable": sp.name, "strategy": strategy}

@@ -205,6 +205,10 @@ def test_classify_rejects_bad_outcomes():
         classify(0, 1)
     with pytest.raises(ValueError):
         classify(+1, 2)
+    with pytest.raises(ValueError, match="unknown axis pair"):
+        spin_product("x", "w")
+    with pytest.raises(ValueError, match="outcome must be"):
+        spin_product("z", "z").projector(0)
 
 
 def test_outcome_pair_inverts_classify():

@@ -61,12 +61,16 @@ def test_run_rejects_zero_trials(capsys):
         "0.6,0,0", "what,0,0,0", "0,0,0,0", "0.5+,0,0,0", "nan,0,0,0", "1e400,0,0,0",
         # outside the re[+im i] grammar, though Python's complex() takes them
         "1_0,0,0,0", "(1+0i),0,0,0", "1+2j,0,0,0", "inf,0,0,0", "1+i,0,0,0", "\u0661,0,0,0",
+        # an empty coefficient, also between blanks
+        "1,,0,0", "1, ,0,0",
     ],
 )
 def test_run_rejects_bad_state_specs(capsys, bad):
-    code, _, err = run_cli(capsys, "run", "--scheme", "fig1", "--state", bad, "--trials", "5")
-    assert code == 2
-    assert "state" in err
+    for argv in (("--state", bad), (f"--state={bad}",)):
+        code, _, err = run_cli(capsys, "run", "--scheme", "fig1", *argv, "--trials", "5")
+        assert code == 2
+        assert err.startswith("error: invalid state spec: ")
+        assert (err == "error: invalid state spec: empty coefficient\n") == (bad in ("1,,0,0", "1, ,0,0"))
 
 
 def test_cmd_run_rejects_unknown_scheme(capsys):

@@ -41,8 +41,6 @@ from bellsim.protocols import (
     run_fig1,
     run_scheme_a,
     run_scheme_b,
-    scheme_a_povm,
-    scheme_b_measurement_operators,
     trace_to_jsonl,
 )
 from bellsim.qstate import CNOT, HADAMARD, ID2, computational_state, fidelity, haar_random_state, states_equal
@@ -158,17 +156,19 @@ def _bell_projector(label):
 
 
 def test_scheme_a_povm_equals_bell_projectors():
-    povm = scheme_a_povm()
+    # row label.index is E_mn for (m, n) = outcome_pair(label)
+    povm = protocols._SCHEME_A_POVM
     for label in LABELS:
-        np.testing.assert_allclose(povm[outcome_pair(label)], _bell_projector(label), atol=1e-12)
-    np.testing.assert_allclose(sum(povm.values()), np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(povm[label.index], _bell_projector(label), atol=1e-12)
+    np.testing.assert_allclose(povm.sum(axis=0), np.eye(4), atol=1e-12)
 
 
 def test_scheme_b_measurement_operators_equal_bell_projectors():
-    ops = scheme_b_measurement_operators()
+    # row label.index is M_mn for (m, n) = outcome_pair(label)
+    ops = protocols._SCHEME_B_OPS
     for label in LABELS:
-        np.testing.assert_allclose(ops[outcome_pair(label)], _bell_projector(label), atol=1e-12)
-    total = sum(m.conj().T @ m for m in ops.values())
+        np.testing.assert_allclose(ops[label.index], _bell_projector(label), atol=1e-12)
+    total = sum(m.conj().T @ m for m in ops)
     np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
 
 
@@ -229,8 +229,7 @@ def test_analytic_routes_do_not_rebuild_their_operators(monkeypatch):
     def rebuilt():
         raise AssertionError("operator rebuilt per call")
 
-    for builder in ("fig1_unitary", "scheme_a_povm", "scheme_b_measurement_operators"):
-        monkeypatch.setattr(protocols, builder, rebuilt)
+    monkeypatch.setattr(protocols, "fig1_unitary", rebuilt)
     s = haar_random_state(2, np.random.default_rng(68))
     for scheme in SCHEMES:
         np.testing.assert_allclose(analytic_label_distribution(s, scheme), to_bell(s).probabilities(), atol=1e-12)
@@ -311,6 +310,14 @@ def test_audit_rejects_malformed_traces():
     # unknown op
     with pytest.raises(ValueError, match="malformed trace"):
         locc_audit([TraceEvent("s", "alice", "teleport", (0,))])
+    # ownership claimed by no party
+    with pytest.raises(ValueError, match="malformed trace"):
+        locc_audit([TraceEvent("setup", None, "own", (0,))])
+    # a send with no message, and one whose sender is not the sending party
+    step = "szz:exchange-outcomes"
+    for message in (None, ClassicalMessage("bob", "alice", {"outcome": 1}, step)):
+        with pytest.raises(ValueError, match="malformed trace"):
+            locc_audit([TraceEvent(step, "alice", "send", message=message)])
 
 
 def test_audit_flags_operations_outside_owned_set():
@@ -332,6 +339,8 @@ def test_audit_requires_exchange_before_derivation():
     report = locc_audit(trace)
     assert not report.passed
     assert "without a prior" in report.violations[0]
+    report = locc_audit([TraceEvent("szz:multiply", None, "multiply", (), outcome=1)])
+    assert report.violations == ("event 0: multiply not attributed to a party",)
 
 
 def test_audit_flags_non_classical_payload():
@@ -549,6 +558,9 @@ def test_outcome_distribution_validates_arguments():
         outcome_distribution(s, "scheme_a", 0, 1)
     with pytest.raises(ValueError, match="unknown scheme"):
         outcome_distribution(s, "scheme_c", 10, 1)
+    # the photonic model samples its tree only: there is no per-trial runner to iterate
+    with pytest.raises(ValueError, match="scheme 'photonic' has no protocol runner"):
+        next(iterate_runs(s, "photonic", 10, 1))
 
 
 # every public entry point that takes a 2-qubit state, called on one of another size

@@ -100,6 +100,11 @@ def test_make_state_bad_dimension():
         make_state([1, 0, 0])
     with pytest.raises(ValueError, match="bad dimension"):
         make_state([])
+    # StateVector's own check: the length must be 2**n_qubits
+    with pytest.raises(ValueError, match="bad dimension"):
+        StateVector(2, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        computational_state("02")
 
 
 def test_statevector_rejects_non_normalized():
@@ -320,11 +325,10 @@ def test_haar_random_state_matches_reference_bit_for_bit(n_qubits, seed):
 def test_haar_random_states_are_one_state_draws_bit_for_bit(n_qubits, count, seed):
     gen, one_gen, reference_gen = (np.random.default_rng(seed) for _ in range(3))
     block = haar_random_states(n_qubits, gen, count)
-    assert len(block) == count
-    for s in block:
-        assert s.n_qubits == n_qubits and not s.amplitudes.flags.writeable
-        assert s.amplitudes.tobytes() == haar_random_state(n_qubits, one_gen).amplitudes.tobytes()
-        assert s.amplitudes.tobytes() == _haar_random_state_reference(n_qubits, reference_gen).amplitudes.tobytes()
+    assert block.shape == (count, 1 << n_qubits) and block.dtype == complex and not block.flags.writeable
+    for row in block:
+        assert row.tobytes() == haar_random_state(n_qubits, one_gen).amplitudes.tobytes()
+        assert row.tobytes() == _haar_random_state_reference(n_qubits, reference_gen).amplitudes.tobytes()
     assert gen.bit_generator.state == one_gen.bit_generator.state == reference_gen.bit_generator.state
 
 

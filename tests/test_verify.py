@@ -65,7 +65,8 @@ def test_superposition_check_needs_ten_s_zz_plus_branches(monkeypatch, plus):
     # its inputs as Bell states: ``plus`` of Phi+, which always reads S_zz = +1, then Psi+, which reads -1
     phi, psi = bell_state(BellLabel.PHI_PLUS), bell_state(BellLabel.PSI_PLUS)
     inputs = itertools.chain(itertools.repeat(phi, plus), itertools.repeat(psi))
-    monkeypatch.setattr(verify, "haar_random_states", lambda n_qubits, rng, count: [next(inputs) for _ in range(count)])
+    monkeypatch.setattr(verify, "haar_random_states",
+                        lambda n_qubits, rng, count: np.array([next(inputs).amplitudes for _ in range(count)]))
     if plus < 10:
         with pytest.raises(verify._Failure, match="too few S_zz"):
             verify.check_superposition_preservation()
