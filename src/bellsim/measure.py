@@ -382,7 +382,7 @@ class OutcomeTree:
     Trial t replays what the runner draws on ``RngStream(seed).substream(t)``:
     draw 1 for the first stage, draw 1 + (draws the first stage took) for
     the second, none for a stage with one live branch (:class:`FloorRule`).
-    A second stage's weights are built when a trial first reaches them.
+    Every second stage a pick can reach is built with the tree, in read-only tables.
     ``build`` is a tree builder of the shape above, such as a scheme's ``tree``.
     A leaf is (i, j): branch i of the first stage, then branch j of the
     second (0 when there is none), the index of ``labels`` it names.
@@ -395,15 +395,17 @@ class OutcomeTree:
         self._first.set_row(0, weights)
         if self._child:
             self._second = FloorRule.empty(*self.labels.shape)
-            self._second_draws = False  # a second stage built so far takes a draw
-            self._unbuilt = set(self._first.kept.tolist())
+            for i in set(self._first.kept.tolist()):  # every first-stage branch a pick keeps
+                self._second.set_row(i, self._child(i)[0])
+            self._second_draws = bool(self._second.draws.any())  # some second stage takes a draw
+        for table in self._first + (self._second if self._child else ()):
+            table.setflags(write=False)
 
     def walk(self, rng: RngStream) -> tuple[int, int]:
         """The leaf that the run drawing on ``rng`` reaches: one trial of :meth:`sample`, as the runner draws it."""
         i = self._first.choose(0, rng)
         if not self._child:
             return i, 0
-        self._reach(i)
         return divmod(self._second.choose(i, rng), self.labels.shape[1])
 
     def sample(self, trials: int, seed: int) -> np.ndarray:
@@ -446,23 +448,12 @@ class OutcomeTree:
             leaf = np.full(work.keys.size, self._first.kept[0])
         if not self._child:
             return leaf
-        if self._unbuilt:
-            hit = np.bincount(leaf, minlength=len(self.labels))
-            for i in [i for i in self._unbuilt if hit[i]]:
-                self._reach(i)
-        if not self._second_draws:  # every row reached keeps its heaviest branch
+        if not self._second_draws:  # every row keeps its heaviest branch
             leaf *= _operand(self.labels.shape[1], np.intp)
             return self._second.keep(leaf)
         if not first_draws:
             root._keys_into(start, work.keys, work.scratch)
         return self._second.leaves_by_row(leaf, _keyed_draws(work, 1 + first_draws), work)
-
-    def _reach(self, i: int) -> None:
-        """Build the second stage after first-stage branch ``i`` when a trial first reaches it."""
-        if i in self._unbuilt:
-            self._second.set_row(i, self._child(i)[0])
-            self._second_draws |= bool(self._second.draws[i])
-            self._unbuilt.discard(i)
 
     def label_counts(self, leaves: np.ndarray) -> dict:
         """Histogram over the four Bell labels of a leaf histogram."""

@@ -354,47 +354,51 @@ def locc_audit(trace) -> AuditReport:
     delivered: set[tuple[str, str]] = set()  # (recipient, stage)
     violations: list[str] = []
     checked = 0
-    for idx, event in enumerate(trace):
-        if not isinstance(event, TraceEvent):
-            raise ValueError("malformed trace")
-        checked += 1
-        op = event.op
-        if op == "own":
-            if event.party is None:
+    try:
+        for idx, event in enumerate(trace):
+            if not isinstance(event, TraceEvent):
                 raise ValueError("malformed trace")
-            ownership[event.party] = set(event.qubits)
-        elif op.startswith(_GATE_OPS_PREFIXES) or op in ("ebit", "discard"):
-            if event.party is None:
-                violations.append(
-                    f"event {idx}: {op} on qubits {list(event.qubits)} is not local to one party"
-                )
-                continue
-            owned = ownership.get(event.party)
-            if owned is None:
-                raise ValueError("malformed trace")
-            if not set(event.qubits) <= owned:
-                violations.append(
-                    f"event {idx}: {event.party} touched qubits {list(event.qubits)} "
-                    f"outside its owned set {sorted(owned)}"
-                )
-        elif op == "send":
-            message = event.message
-            if message is None or message.sender != event.party:
-                raise ValueError("malformed trace")
-            if not all(isinstance(v, (int, np.integer, str)) for v in message.payload.values()):
-                violations.append(f"event {idx}: message payload is not classical data")
+            checked += 1
+            op = event.op
+            if op == "own":
+                if event.party is None:
+                    raise ValueError("malformed trace")
+                ownership[event.party] = set(event.qubits)
+            elif op.startswith(_GATE_OPS_PREFIXES) or op in ("ebit", "discard"):
+                if event.party is None:
+                    violations.append(
+                        f"event {idx}: {op} on qubits {list(event.qubits)} is not local to one party"
+                    )
+                    continue
+                owned = ownership.get(event.party)
+                if owned is None:
+                    raise ValueError("malformed trace")
+                if not set(event.qubits) <= owned:
+                    violations.append(
+                        f"event {idx}: {event.party} touched qubits {list(event.qubits)} "
+                        f"outside its owned set {sorted(owned)}"
+                    )
+            elif op == "send":
+                message = event.message
+                if message is None or message.sender != event.party:
+                    raise ValueError("malformed trace")
+                if not all(isinstance(v, (int, np.integer, str)) for v in message.payload.values()):
+                    violations.append(f"event {idx}: message payload is not classical data")
+                else:
+                    delivered.add((message.recipient, _stage_of(message.step)))
+            elif op in _DERIVE_OPS:
+                if event.party is None:
+                    violations.append(f"event {idx}: {op} not attributed to a party")
+                elif (event.party, _stage_of(event.step)) not in delivered:
+                    violations.append(
+                        f"event {idx}: {event.party} derived '{op}' without a prior "
+                        "classical exchange for this stage"
+                    )
             else:
-                delivered.add((message.recipient, _stage_of(message.step)))
-        elif op in _DERIVE_OPS:
-            if event.party is None:
-                violations.append(f"event {idx}: {op} not attributed to a party")
-            elif (event.party, _stage_of(event.step)) not in delivered:
-                violations.append(
-                    f"event {idx}: {event.party} derived '{op}' without a prior "
-                    "classical exchange for this stage"
-                )
-        else:
-            raise ValueError("malformed trace")
+                raise ValueError("malformed trace")
+    except (AttributeError, TypeError):
+        # a field of the wrong type: a step or op that is not a str, qubits that are not a sequence, a payload not a dict
+        raise ValueError("malformed trace") from None
     return AuditReport(not violations, tuple(violations), checked)
 
 

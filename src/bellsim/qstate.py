@@ -46,11 +46,11 @@ for _const in (ID2, PAULI_X, PAULI_Y, PAULI_Z, HADAMARD, PHASE_S, CNOT, *BASIS_C
     _const.setflags(write=False)
 
 
-def is_unitary(u: np.ndarray, atol: float = ATOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=atol)
+    return np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=ATOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,14 +227,14 @@ def phase_canonical(s: StateVector) -> StateVector:
     return s  # cannot happen for a normalized state
 
 
-def states_equal(a: StateVector, b: StateVector, atol: float = ATOL, up_to_phase: bool = True) -> bool:
+def states_equal(a: StateVector, b: StateVector, up_to_phase: bool = True) -> bool:
     """Amplitude-wise equality, by default after global-phase canonicalization."""
     if a.n_qubits != b.n_qubits:
         return False
     if up_to_phase:
         a, b = phase_canonical(a), phase_canonical(b)
-    # np.allclose(rtol=1e-5) on finite input, without its wrapper overhead
-    return bool((np.abs(a.amplitudes - b.amplitudes) <= atol + 1e-5 * np.abs(b.amplitudes)).all())
+    # np.allclose(rtol=1e-5, atol=ATOL) on finite input, without its wrapper overhead
+    return bool((np.abs(a.amplitudes - b.amplitudes) <= ATOL + 1e-5 * np.abs(b.amplitudes)).all())
 
 
 def haar_random_states(n_qubits: int, gen: np.random.Generator, count: int) -> np.ndarray:

@@ -110,6 +110,8 @@ def _reference(s, scheme, trials, seed):
 @example(s=_spec((0, 2, 1, 3), np.pi / 4, 0.0, True), scheme="fig1", trials=TREE_CHUNK + 1, seed=7)
 @example(s=_spec((3, 1, 0, 2), np.pi / 3, PROB_FLOOR, True), scheme="fig1", trials=2 * TREE_CHUNK + 3, seed=0)
 @example(s=_spec((0, 1, 2, 3), 0.0, 2 * PROB_FLOOR, False), scheme="scheme_b", trials=TREE_CHUNK, seed=2**64 - 1)
+# fig1's row for Alice's bit 1 weighs 2e-10: live, never reached, and its second stage draws while row 0's does not
+@example(s=_spec((0, 1, 3, 2), 1e-5, 1e-10, True), scheme="fig1", trials=2 * TREE_CHUNK + 3, seed=7)
 def test_outcome_tree_matches_the_scalar_runners(s, scheme, trials, seed):
     counts, worst = _reference(s, scheme, trials, seed)
     assert outcome_distribution(s, scheme, trials, seed) == counts
@@ -121,7 +123,7 @@ def test_outcome_tree_matches_the_scalar_runners(s, scheme, trials, seed):
 @example(s=_spec((0, 2, 1, 3), np.pi / 4, 0.0, True), scheme="fig1", trials=TREE_WALK, seed=7)
 @example(s=_spec((0, 1, 2, 3), 0.0, 2 * PROB_FLOOR, False), scheme="scheme_b", trials=TREE_WALK - 1, seed=2**64 - 1)
 def test_walk_matches_the_chunks(s, scheme, trials, seed):
-    """Trial by trial, the walk reaches the leaves the chunks reach; each tree builds its second stages itself."""
+    """Trial by trial, the walk reaches the leaves the chunks reach, each on a tree of its own."""
     walked, chunked = (OutcomeTree(s, SCHEMES[scheme].tree) for _ in range(2))
     root = RngStream(seed)
     leaves = np.zeros(walked.labels.shape, np.int64)
@@ -148,6 +150,8 @@ NEVER = 2**63
 @example(s=_spec((0, 1, 2, 3), 0.0, 2 * PROB_FLOOR, False), scheme="scheme_b", seed=2**64 - 1,
          trials=4 * TREE_LONG_CHUNK + 3, chunk=TREE_CHUNK, long_chunk=TREE_LONG_CHUNK, long_run=TREE_LONG_RUN,
          walk=TREE_WALK)
+@example(s=_spec((0, 1, 3, 2), 1e-5, 1e-10, True), scheme="fig1", seed=7, trials=TREE_LONG_RUN + 1,
+         chunk=TREE_CHUNK, long_chunk=TREE_LONG_CHUNK, long_run=TREE_LONG_RUN, walk=TREE_WALK)
 def test_leaves_do_not_depend_on_the_chunk_sizes_or_the_walk(s, scheme, seed, trials, chunk, long_chunk, long_run,
                                                              walk):
     """A run's leaf histogram is its trials walked one by one, whatever the chunk sizes and thresholds are."""
@@ -161,6 +165,21 @@ def test_leaves_do_not_depend_on_the_chunk_sizes_or_the_walk(s, scheme, seed, tr
                             ("TREE_WALK", walk)):
             patch.setattr(measure, name, value)
         assert OutcomeTree(s, SCHEMES[scheme].tree).sample(trials, seed).tolist() == leaves.tolist()
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("s", [haar_random_state(2, np.random.default_rng(11)), bell_state(BellLabel.PSI_MINUS)],
+                         ids=["haar", "bell"])
+def test_sampling_only_reads_the_tree(scheme, s):
+    """The tree's tables are read-only once it is built, and no walk or sample changes a byte of them."""
+    tree = OutcomeTree(s, SCHEMES[scheme].tree)
+    tables = tree._first + (tree._second if tree._child else ())
+    assert not any(table.flags.writeable for table in tables)
+    before = [table.tobytes() for table in tables]
+    tree.walk(RngStream(3))
+    for trials in (TREE_WALK - 1, TREE_CHUNK + 1, TREE_LONG_RUN + 1):
+        tree.sample(trials, 5)
+    assert [table.tobytes() for table in tables] == before
 
 
 def _pick_law(rule, row):
@@ -319,12 +338,25 @@ def _heap_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def _heap_held(build) -> int:
+    """Bytes that the object ``build()`` returns holds, counted while it is alive."""
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        built = build()  # alive until the count is taken
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("scheme", list(SCHEMES))
 def test_sampling_memory_does_not_grow_with_trials(scheme):
     """A run's work buffers are a chunk's: ten chunks and a short one peak no higher than one chunk."""
     tree = OutcomeTree(haar_random_state(2, np.random.default_rng(11)), SCHEMES[scheme].tree)
     many = 10 * TREE_CHUNK + 3
-    tree.sample(many, 5)  # builds every second stage a trial reaches
+    tree.sample(many, 5)  # numpy's first-call caches are not the run's
     gc.collect()
     # the lower of two: the first traced call after the warm-up reads a few hundred bytes high
     one_chunk = min(_heap_peak(lambda: tree.sample(TREE_CHUNK, 5)) for _ in range(2))
@@ -337,7 +369,7 @@ def test_long_run_memory_does_not_grow_with_trials(scheme):
     shortest long run, three long chunks and a short one."""
     tree = _tree(scheme)
     many = 20 * TREE_LONG_CHUNK + 3
-    tree.sample(many, 5)  # builds every second stage a trial reaches
+    tree.sample(many, 5)  # numpy's first-call caches are not the run's
     gc.collect()
     # the lower of two: the first traced call after the warm-up reads a few hundred bytes high
     first_long = min(_heap_peak(lambda: tree.sample(TREE_LONG_RUN + 1, 5)) for _ in range(2))
@@ -369,8 +401,15 @@ def _tree(scheme, rng_seed=11):
 
 @pytest.mark.parametrize("scheme", list(SCHEMES))
 def test_sampling_keeps_only_weights(scheme):
-    """A sampled tree holds a reached second stage's weights, not its post-states: ``reached`` rebuilds those."""
+    """A tree holds its second stages' weights, not their post-states (``reached`` rebuilds those): built on a Haar
+    state, whose tree has every second stage, it holds no more than on PsiMinus, whose tree has fewer (none for
+    photonic); and sampling leaves nothing on it."""
     _tree(scheme, 10).sample(10 * TREE_CHUNK + 3, 5)  # numpy's first-call caches are not the tree's
+
+    def held(s):  # bytes a tree built on ``s`` holds: the lower of two builds
+        return min(_heap_held(lambda: OutcomeTree(s, SCHEMES[scheme].tree)) for _ in range(2))
+
+    assert held(haar_random_state(2, np.random.default_rng(11))) <= held(bell_state(BellLabel.PSI_MINUS)) + 256
     tree = _tree(scheme)
     tracemalloc.start()
     try:
@@ -387,7 +426,7 @@ def test_sampling_keeps_only_weights(scheme):
 def test_sampling_heap_per_chunk_trial(scheme):
     """A chunk-trial costs at most 36 bytes of heap peak: three uint64 words and an intp leaf are 32."""
     tree = _tree(scheme)
-    tree.sample(10 * TREE_CHUNK + 3, 5)  # builds every second stage a trial reaches
+    tree.sample(10 * TREE_CHUNK + 3, 5)  # numpy's first-call caches are not the run's
     gc.collect()
 
     def lowest_peak(trials):  # of two runs: the first traced call after the warm-up reads a few hundred bytes high

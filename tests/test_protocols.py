@@ -318,6 +318,19 @@ def test_audit_rejects_malformed_traces():
     for message in (None, ClassicalMessage("bob", "alice", {"outcome": 1}, step)):
         with pytest.raises(ValueError, match="malformed trace"):
             locc_audit([TraceEvent(step, "alice", "send", message=message)])
+    # fields of the wrong type: a payload that is not a dict, qubits that are not a sequence, a message or
+    # derivation step that is not a str, and no op
+    sent = TraceEvent(step, "alice", "send", message=ClassicalMessage("alice", "bob", {"outcome": 1}, step))
+    for trace in (
+        [sent._replace(message=sent.message._replace(payload=[1]))],
+        [TraceEvent("setup", "alice", "own", 0)],
+        [sent._replace(message=sent.message._replace(step=None))],
+        [sent, TraceEvent(3, "bob", "multiply")],
+        [TraceEvent("setup", "alice", None, (0,))],
+    ):
+        with pytest.raises(ValueError, match="malformed trace"):
+            locc_audit(trace)
+    assert locc_audit([sent, TraceEvent(step, "bob", "multiply")]).passed
 
 
 def test_audit_flags_operations_outside_owned_set():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bellsim.bellcore import BellCoefficients
 from bellsim.qstate import (
+    ATOL,
     CNOT,
     HADAMARD,
     PAULI_X,
@@ -264,15 +265,25 @@ def test_phase_canonical_and_states_equal(seed, scale, up_to_phase):
     pivot = canon.amplitudes[np.flatnonzero(np.abs(canon.amplitudes) > 1e-9)[0]]
     assert pivot.imag == pytest.approx(0.0, abs=1e-12)
     assert pivot.real > 0
-    # states_equal is np.allclose (rtol 1e-5) just below, at and just above its tolerance
+    # states_equal is np.allclose (rtol 1e-5, atol ATOL) on a perturbed state
     gen = np.random.default_rng(seed)
     a = haar_random_state(2, gen)
     b = make_state(a.amplitudes + scale * (gen.standard_normal(4) + 1j * gen.standard_normal(4)))
     x, y = (phase_canonical(a), phase_canonical(b)) if up_to_phase else (a, b)
-    edge = max(0.0, float(np.max(np.abs(x.amplitudes - y.amplitudes) - 1e-5 * np.abs(y.amplitudes))))
-    for atol in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
-        expected = np.allclose(x.amplitudes, y.amplitudes, atol=atol)
-        assert states_equal(a, b, atol=atol, up_to_phase=up_to_phase) is expected
+    assert states_equal(a, b, up_to_phase=up_to_phase) is np.allclose(x.amplitudes, y.amplitudes, atol=ATOL)
+    # and on either side of its tolerance: the last amplitude turned by 1e-6 and 1e-8 less and more than the angle
+    # that moves it by ATOL + 1e-5 of its modulus (1e-8 of the tolerance is below ATOL and far above rounding)
+    modulus = abs(a.amplitudes[3])
+    edge = 2 * np.arcsin((ATOL + 1e-5 * modulus) / (2 * modulus))
+    equal = []
+    for angle in edge * (1.0 + np.array([-1e-6, -1e-8, 1e-8, 1e-6])):
+        turned = a.amplitudes.copy()
+        turned[3] *= np.exp(1j * angle)
+        b = StateVector(2, turned)
+        x, y = (phase_canonical(a), phase_canonical(b)) if up_to_phase else (a, b)
+        equal.append(states_equal(a, b, up_to_phase=up_to_phase))
+        assert equal[-1] is np.allclose(x.amplitudes, y.amplitudes, atol=ATOL)
+    assert equal == [True, True, False, False]
 
 
 def _phase_canonical_reference(s):
