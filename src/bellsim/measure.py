@@ -284,8 +284,8 @@ class FloorRule(NamedTuple):
 
     @classmethod
     def empty(cls, rows: int, k: int) -> "FloorRule":
-        """Tables for ``rows`` rows of ``k`` branches; a pick reads a row only after :meth:`set_row` fills it."""
-        return cls(np.zeros(rows, bool), np.ones((rows, k)), np.empty(rows * k, np.intp))
+        """Tables for ``rows`` rows of ``k`` branches, zero until :meth:`set_row` fills a row; a pick reads only filled rows."""
+        return cls(np.zeros(rows, bool), np.ones((rows, k)), np.zeros(rows * k, np.intp))
 
     def set_row(self, row: int, weights: np.ndarray) -> None:
         """Fill one row from its weights."""

@@ -396,9 +396,9 @@ def locc_audit(trace) -> AuditReport:
                     )
             else:
                 raise ValueError("malformed trace")
-    except (AttributeError, TypeError):
+    except (AttributeError, TypeError) as exc:
         # a field of the wrong type: a step or op that is not a str, qubits that are not a sequence, a payload not a dict
-        raise ValueError("malformed trace") from None
+        raise ValueError("malformed trace") from exc
     return AuditReport(not violations, tuple(violations), checked)
 
 

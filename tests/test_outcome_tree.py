@@ -171,10 +171,14 @@ def test_leaves_do_not_depend_on_the_chunk_sizes_or_the_walk(s, scheme, seed, tr
 @pytest.mark.parametrize("s", [haar_random_state(2, np.random.default_rng(11)), bell_state(BellLabel.PSI_MINUS)],
                          ids=["haar", "bell"])
 def test_sampling_only_reads_the_tree(scheme, s):
-    """The tree's tables are read-only once it is built, and no walk or sample changes a byte of them."""
+    """The tree's tables are read-only once it is built, and no walk or sample changes a byte of them; a second-stage
+    row that no pick keeps is left as zeros, so the tables depend on the state alone."""
     tree = OutcomeTree(s, SCHEMES[scheme].tree)
     tables = tree._first + (tree._second if tree._child else ())
     assert not any(table.flags.writeable for table in tables)
+    if tree._child:
+        unkept = sorted(set(range(tree.labels.shape[0])) - set(tree._first.kept.tolist()))
+        assert not tree._second.kept.reshape(tree.labels.shape)[unkept].any()
     before = [table.tobytes() for table in tables]
     tree.walk(RngStream(3))
     for trials in (TREE_WALK - 1, TREE_CHUNK + 1, TREE_LONG_RUN + 1):

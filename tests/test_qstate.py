@@ -271,15 +271,18 @@ def test_phase_canonical_and_states_equal(seed, scale, up_to_phase):
     b = make_state(a.amplitudes + scale * (gen.standard_normal(4) + 1j * gen.standard_normal(4)))
     x, y = (phase_canonical(a), phase_canonical(b)) if up_to_phase else (a, b)
     assert states_equal(a, b, up_to_phase=up_to_phase) is np.allclose(x.amplitudes, y.amplitudes, atol=ATOL)
-    # and on either side of its tolerance: the last amplitude turned by 1e-6 and 1e-8 less and more than the angle
-    # that moves it by ATOL + 1e-5 of its modulus (1e-8 of the tolerance is below ATOL and far above rounding)
-    modulus = abs(a.amplitudes[3])
-    edge = 2 * np.arcsin((ATOL + 1e-5 * modulus) / (2 * modulus))
+    # and on either side of its tolerance, whose rtol term scales with b's modulus (np.allclose's b): the smallest
+    # amplitude of a grows by 1e-6 and 1e-8 less and more than the factor 1 + t that puts it on that edge,
+    # t m = ATOL + 1e-5 (1 + t) m, while the others shrink by under t/3 to keep the norm (within 1e-5 of themselves);
+    # scaling by a's modulus moves the edge by 1e-5 of t, ATOL = 0 or 2e-12 by over 1e-8 of it
+    k = int(np.argmin(np.abs(a.amplitudes)))
+    m = abs(a.amplitudes[k])
+    edge = (ATOL + 1e-5 * m) / ((1 - 1e-5) * m)
     equal = []
-    for angle in edge * (1.0 + np.array([-1e-6, -1e-8, 1e-8, 1e-6])):
-        turned = a.amplitudes.copy()
-        turned[3] *= np.exp(1j * angle)
-        b = StateVector(2, turned)
+    for t in edge * (1.0 + np.array([-1e-6, -1e-8, 1e-8, 1e-6])):
+        grown = a.amplitudes * np.sqrt((1 - ((1 + t) * m) ** 2) / (1 - m**2))
+        grown[k] = a.amplitudes[k] * (1 + t)
+        b = StateVector(2, grown)
         x, y = (phase_canonical(a), phase_canonical(b)) if up_to_phase else (a, b)
         equal.append(states_equal(a, b, up_to_phase=up_to_phase))
         assert equal[-1] is np.allclose(x.amplitudes, y.amplitudes, atol=ATOL)
